@@ -41,11 +41,20 @@ from .sweep import SWEEP_MODES, records_to_csv, run_sweep, write_csv
 FILE_NORM_TOL = 1e-6
 
 
-def _parse_floats(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, kind=float) -> list:
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        return [kind(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ValidationError(f"{flag} expects a comma-separated list of numbers, got {text!r}")
+        what = "integers" if kind is int else "numbers"
+        raise ValidationError(f"{flag} expects a comma-separated list of {what}, got {text!r}")
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite, nonnegative number."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _parse_target(text: str) -> tuple[float, ProbVector]:
@@ -56,8 +65,8 @@ def _parse_target(text: str) -> tuple[float, ProbVector]:
             weight = float(head)
         except ValueError:
             raise ValidationError(f"--target weight {head!r} is not a number")
-        return weight, ProbVector(_parse_floats(tail, "--target"))
-    return 1.0, ProbVector(_parse_floats(text, "--target"))
+        return weight, ProbVector(_parse_list(tail, "--target"))
+    return 1.0, ProbVector(_parse_list(text, "--target"))
 
 
 def load_ensemble_file(path: str) -> tuple[Ensemble, BellFamily | None, list[float]]:
@@ -107,7 +116,7 @@ def load_ensemble_file(path: str) -> tuple[Ensemble, BellFamily | None, list[flo
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"state {idx} is malformed: {exc}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > FILE_NORM_TOL:
+        if not abs(norm - 1.0) <= FILE_NORM_TOL:
             raise ValidationError(f"state {idx} has norm {norm!r}, beyond the {FILE_NORM_TOL:.0e} load tolerance")
         if abs(norm - 1.0) > DEFAULT_TOL:
             warnings.warn(f"state {idx} renormalized on load (norm was {norm!r})", stacklevel=2)
@@ -144,7 +153,7 @@ def _emit(result: dict, as_json: bool) -> None:
 def _family_from_args(args) -> tuple[BellFamily, list[float] | None]:
     if args.a2 is None or args.c2 is None:
         raise ValidationError("both --a2 and --c2 are required")
-    probs = _parse_floats(args.probs, "--probs") if getattr(args, "probs", None) else None
+    probs = _parse_list(args.probs, "--probs") if getattr(args, "probs", None) else None
     return BellFamily.from_squared(args.a2, args.c2), probs
 
 
@@ -171,7 +180,7 @@ def _cmd_discriminate(args) -> int:
 
 def _cmd_three_state(args) -> int:
     family, probs = _family_from_args(args)
-    which = [int(i) for i in _parse_floats(args.which, "--which")]
+    which = _parse_list(args.which, "--which", int)
     feasible = three_state_feasible(family, which, probs, tol=args.tol)
     _emit(
         {"a2": args.a2, "c2": args.c2, "which": which, "feasible_unassisted": feasible},
@@ -231,7 +240,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    source = ProbVector(_parse_floats(args.source, "--source"))
+    source = ProbVector(_parse_list(args.source, "--source"))
     targets = [_parse_target(t) for t in args.target]
     feasible = locc_ensemble_feasible(source, targets, tol=args.tol)
     _emit({"feasible": feasible}, args.json)
@@ -239,8 +248,8 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    probs = _parse_floats(args.probs, "--probs") if args.probs else None
-    which = [int(i) for i in _parse_floats(args.which, "--which")]
+    probs = _parse_list(args.probs, "--probs") if args.probs else None
+    which = _parse_list(args.which, "--which", int)
     records = run_sweep(args.mode, grid_n=args.grid_n, probs=probs, which=which)
     if args.out:
         write_csv(records, args.out)
@@ -257,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="partial-sum comparison tolerance")
+    common.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="partial-sum comparison tolerance")
     common.add_argument("--json", action="store_true", help="emit one JSON object instead of text")
 
     family_flags = argparse.ArgumentParser(add_help=False)

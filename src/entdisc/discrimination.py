@@ -50,14 +50,6 @@ __all__ = [
     "three_state_feasible",
 ]
 
-BISECTION_ITERATIONS = 60
-
-# Tolerance used inside the resource bisection. Tighter than DEFAULT_TOL so
-# the boundary estimate cannot overshoot the closed-form first-partial-sum
-# bound by more than float noise, yet loose enough to absorb eigenvalue
-# round-off (~1e-16) at the maximally entangled corner.
-FEASIBILITY_TOL = 1e-13
-
 ZERO_NORM_TOL = 1e-12
 
 EQUAL_PRIORS_4 = (0.25, 0.25, 0.25, 0.25)
@@ -171,9 +163,10 @@ class CostReport:
     ``alpha2_max`` is the largest admissible squared Schmidt coefficient of a
     two-term resource state: larger means a *less* entangled resource
     suffices. ``cost_ebits`` is the binary entropy of ``alpha2_max``, and
-    ``first_sum_bound`` is the closed-form cap min(1, 4/(a+b+c+d)^2) implied
-    by the leading partial sum alone. Both numbers are reported so their
-    agreement is observable rather than assumed.
+    ``first_sum_bound`` is the cap min(1, 4/(a+b+c+d)^2) computed from the
+    amplitudes rather than the pointer spectrum; the two agree to round-off.
+    ``feasible`` is always true, since alpha^2 = 1/2 always suffices; it is
+    kept so the report's fields stay stable.
     """
 
     alpha2_max: float
@@ -182,50 +175,42 @@ class CostReport:
     feasible: bool
 
 
+def alpha2_max_from_lambda(lam_max):
+    """Closed-form alpha^2_max = min(1, 1/(2 lambda_1)), elementwise over arrays.
+
+    ``lam_max`` is the top eigenvalue of the pointer state. A top eigenvalue
+    within DEFAULT_TOL of 1/2 passes the unassisted test, so no resource is
+    needed and alpha^2 is exactly 1, whichever side of 1/2 the eigensolver's
+    round-off lands on at the product corner.
+    """
+    return np.where(lam_max <= 0.5 + DEFAULT_TOL, 1.0, 0.5 / lam_max)
+
+
 def assisted_alpha2_max(family: BellFamily) -> CostReport:
     """Weakest two-term resource that unlocks perfect four-state discrimination.
 
-    Searches for the largest alpha^2 in [0.5, 1] such that the spectrum of
-    resource x pointer-state is majorized by the mixed pointer spectra,
-    bisecting the monotone feasibility boundary. Every partial sum is
-    checked, not only the leading one.
+    The largest alpha^2 in [1/2, 1] such that the spectrum of
+    resource x pointer-state, with equal priors, is majorized by the mixed
+    pointer spectra (1/2, 1/2, 0, ...). That target's partial sums are
+    (1/2, 1, 1, ...), and any two or more entries of a probability vector sum
+    to at most 1, so only the first partial sum binds:
+    alpha^2 lambda_1 <= 1/2, giving alpha^2_max = min(1, 1/(2 lambda_1))
+    exactly (Jonathan & Plenio, PRL 83, 1455 (1999), for a two-term target).
+    Since lambda_1 <= 1, alpha^2 = 1/2 always suffices.
+
+    The same argument shows the two-term model loses nothing: a resource r
+    of any dimension is admissible iff r_1 <= 1/(2 lambda_1), and for
+    t >= 1/2 the vector (t, 1-t) majorizes every r with r_1 <= t. Entropy is
+    Schur-concave, so ``cost_ebits`` is the minimum over all resources.
     """
     ensemble = Ensemble(tuple(zip(EQUAL_PRIORS_4, family.states())))
-    pointers = bell_states()
-    lam = reduced_spectrum(pointer_state(ensemble, pointers)).entries
-    target = np.zeros(2 * lam.size)
-    target[0] = target[1] = 0.5
-    target_cumsum = np.cumsum(target)
-
-    def feasible(alpha2: float) -> bool:
-        cand = np.sort(np.concatenate((alpha2 * lam, (1.0 - alpha2) * lam)))[::-1]
-        return bool(np.all(np.cumsum(cand) <= target_cumsum + FEASIBILITY_TOL))
-
+    lam_max = reduced_spectrum(pointer_state(ensemble, bell_states())).entries[0]
+    alpha2 = float(alpha2_max_from_lambda(lam_max))
     total = family.a + family.b + family.c + family.d
-    first_sum_bound = min(1.0, 4.0 / total**2)
-
-    if not feasible(0.5):
-        return CostReport(
-            alpha2_max=float("nan"),
-            cost_ebits=float("nan"),
-            first_sum_bound=first_sum_bound,
-            feasible=False,
-        )
-    if feasible(1.0):
-        alpha2 = 1.0
-    else:
-        lo, hi = 0.5, 1.0
-        for _ in range(BISECTION_ITERATIONS):
-            mid = 0.5 * (lo + hi)
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid
-        alpha2 = lo
     return CostReport(
         alpha2_max=alpha2,
         cost_ebits=binary_entropy(alpha2),
-        first_sum_bound=first_sum_bound,
+        first_sum_bound=min(1.0, 4.0 / total**2),
         feasible=True,
     )
 

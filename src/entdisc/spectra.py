@@ -7,6 +7,7 @@ so this module is the numerical core of the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -18,6 +19,7 @@ __all__ = [
     "DEFAULT_TOL",
     "ProbVector",
     "binary_entropy",
+    "check_probabilities",
     "entropy_bits",
     "majorizes",
     "mix",
@@ -34,6 +36,30 @@ DEFAULT_TOL = 1e-9
 NEG_ENTRY_TOL = 1e-9
 
 
+def check_probabilities(values) -> np.ndarray:
+    """Validate probabilities given in any order; returns them as a float array.
+
+    Entries must be finite and at least -NEG_ENTRY_TOL, and must sum to 1
+    within DEFAULT_TOL; negatives inside the tolerance are clamped to zero.
+    A NaN or infinite entry makes the sum non-finite, which is rejected.
+    """
+    arr = np.asarray(values, dtype=float).ravel()
+    if arr.size == 0:
+        raise ValidationError("need at least one probability")
+    total = float(arr.sum())
+    if not math.isfinite(total):
+        raise ValidationError("probabilities must be finite")
+    low = arr.min()
+    if low < 0.0:
+        if low < -NEG_ENTRY_TOL:
+            raise ValidationError(f"probability {low:.3e} is negative beyond tolerance {NEG_ENTRY_TOL:.0e}")
+        arr = np.clip(arr, 0.0, None)
+        total = float(arr.sum())
+    if not abs(total - 1.0) <= DEFAULT_TOL:
+        raise ValidationError(f"probabilities sum to {total!r}, expected 1 within {DEFAULT_TOL:.0e}")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class ProbVector:
     """A probability vector stored in canonical non-increasing order.
@@ -45,19 +71,7 @@ class ProbVector:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float).ravel()
-        if arr.size == 0:
-            raise ValidationError("probability vector must have at least one entry")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("probability vector entries must be finite")
-        low = arr.min()
-        if low < -NEG_ENTRY_TOL:
-            raise ValidationError(f"entry {low:.3e} is negative beyond tolerance {NEG_ENTRY_TOL:.0e}")
-        arr = np.clip(arr, 0.0, None)
-        total = arr.sum()
-        if abs(total - 1.0) > DEFAULT_TOL:
-            raise ValidationError(f"entries sum to {total!r}, expected 1 within {DEFAULT_TOL:.0e}")
-        arr = np.sort(arr, kind="stable")[::-1].copy()
+        arr = np.sort(check_probabilities(self.entries), kind="stable")[::-1].copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -120,15 +134,7 @@ def mix(weighted: Iterable[tuple[float, ProbVector]]) -> ProbVector:
     component-wise with the given weights.
     """
     pairs = list(weighted)
-    if not pairs:
-        raise ValidationError("mix requires at least one component")
-    weights = np.array([p for p, _ in pairs], dtype=float)
-    if weights.min() < -NEG_ENTRY_TOL:
-        raise ValidationError("mixing weights must be nonnegative")
-    weights = np.clip(weights, 0.0, None)
-    total = weights.sum()
-    if abs(total - 1.0) > DEFAULT_TOL:
-        raise ValidationError(f"mixing weights sum to {total!r}, expected 1 within {DEFAULT_TOL:.0e}")
+    weights = check_probabilities([p for p, _ in pairs])
     n = max(v.dim for _, v in pairs)
     out = np.zeros(n)
     for w, (_, v) in zip(weights, pairs):
@@ -137,9 +143,13 @@ def mix(weighted: Iterable[tuple[float, ProbVector]]) -> ProbVector:
 
 
 def entropy_bits(x: ProbVector) -> float:
-    """Shannon entropy of the vector in bits, with 0*log(0) = 0."""
+    """Shannon entropy of the vector in bits, with 0*log(0) = 0.
+
+    Clamped at 0: entries summing to 1 only within rounding can otherwise
+    give a negative value of order 1e-16 for a near-pure vector.
+    """
     lam = x.entries[x.entries > 0.0]
-    return float(-(lam * np.log2(lam)).sum() + 0.0)  # +0.0 normalizes -0.0 away
+    return max(float(-(lam * np.log2(lam)).sum()), 0.0) + 0.0  # +0.0 normalizes -0.0 away
 
 
 def binary_entropy(p: float) -> float:

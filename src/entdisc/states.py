@@ -7,12 +7,13 @@ coefficient-matrix reshape used by the Schmidt decomposition unambiguous.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .spectra import DEFAULT_TOL, ProbVector, entropy_bits
+from .spectra import DEFAULT_TOL, ProbVector, check_probabilities, entropy_bits
 
 __all__ = [
     "BellFamily",
@@ -49,6 +50,9 @@ class PureState:
                 f"got {amps.size} amplitudes for dimensions {self.dim_a}x{self.dim_b}"
             )
         norm2 = float(np.vdot(amps, amps).real)
+        # A NaN or infinite amplitude makes norm^2 non-finite.
+        if not math.isfinite(norm2):
+            raise ValidationError("state amplitudes must be finite")
         if abs(norm2 - 1.0) > DEFAULT_TOL:
             raise ValidationError(f"state norm^2 is {norm2!r}, expected 1 within {DEFAULT_TOL:.0e}")
         amps = amps.copy()
@@ -195,19 +199,14 @@ class Ensemble:
     members: tuple[tuple[float, PureState], ...]
 
     def __post_init__(self):
-        members = tuple((float(p), s) for p, s in self.members)
+        members = tuple(self.members)
         if not members:
             raise ValidationError("ensemble must have at least one member")
-        probs = np.array([p for p, _ in members])
-        if probs.min() < -DEFAULT_TOL:
-            raise ValidationError("ensemble probabilities must be nonnegative")
-        if abs(probs.sum() - 1.0) > DEFAULT_TOL:
-            raise ValidationError(f"ensemble probabilities sum to {probs.sum()!r}, expected 1")
-        dims = {(s.dim_a, s.dim_b) for _, s in members}
-        if len(dims) != 1:
+        probs = check_probabilities([p for p, _ in members]).tolist()
+        states = [s for _, s in members]
+        if len({(s.dim_a, s.dim_b) for s in states}) != 1:
             raise ValidationError("all ensemble states must share the same local dimensions")
-        members = tuple((max(p, 0.0), s) for p, s in members)
-        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "members", tuple(zip(probs, states)))
 
     @classmethod
     def equal_priors(cls, states: list[PureState]) -> "Ensemble":

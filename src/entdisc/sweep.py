@@ -1,28 +1,30 @@
 """Parameter-grid scans over the family's (a^2, c^2) square, emitted as CSV.
 
 Grid points are independent; the scans below evaluate them as one batched
-numpy computation (stacked small SVDs, vectorized bisection) that mirrors the
-per-point operations in :mod:`entdisc.discrimination` exactly. Records are
-emitted in deterministic row-major order (outer loop a^2, inner loop c^2), so
-repeated runs produce byte-identical output.
+numpy computation (stacked small SVDs and the closed-form resource bound)
+that mirrors the per-point operations in :mod:`entdisc.discrimination`
+exactly. Results are kept as numpy columns and read as a sequence of
+records; rows are emitted in deterministic row-major order (outer loop a^2,
+inner loop c^2), so repeated runs produce byte-identical output.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .discrimination import BISECTION_ITERATIONS, FEASIBILITY_TOL
+from .discrimination import alpha2_max_from_lambda
 from .errors import ValidationError
-from .spectra import DEFAULT_TOL, binary_entropy
+from .spectra import DEFAULT_TOL, binary_entropy, check_probabilities
 from .states import BellFamily, bell_states
 
 __all__ = [
     "CSV_HEADER",
     "SWEEP_MODES",
     "SweepRecord",
+    "SweepTable",
     "avg_entanglement",
     "records_to_csv",
     "run_sweep",
@@ -34,6 +36,12 @@ SWEEP_MODES = ("assist", "preserve", "feasible3")
 CSV_HEADER = "a2,c2,avg_ent_ebits,feasible_unassisted,alpha2_max,assist_cost_ebits,preserve_cost_ebits"
 
 DEFAULT_GRID_N = 101
+
+_FIELDS = tuple(CSV_HEADER.split(","))
+
+# Rows formatted per step of records_to_csv: bounds the Python objects alive
+# at once, whatever the grid size.
+CSV_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -49,12 +57,38 @@ class SweepRecord:
     preserve_cost_ebits: float | None = None
 
 
+class SweepTable(Sequence):
+    """Read-only sweep results held as numpy columns, one per CSV field.
+
+    Behaves as a sequence of :class:`SweepRecord`: ``len``, iteration and
+    integer indexes (negative ones too) build records on demand, and a slice
+    returns another table over views of the same columns. Columns a mode
+    does not populate are absent and read as None. The constructor keeps the
+    arrays it is given and marks them read-only.
+    """
+
+    def __init__(self, columns: dict[str, np.ndarray]):
+        self._columns = {name: columns[name] for name in _FIELDS if name in columns}
+        for column in self._columns.values():
+            column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self._columns["a2"].size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SweepTable({name: col[index] for name, col in self._columns.items()})
+        k = range(len(self))[index]
+        return SweepRecord(**{name: col.item(k) for name, col in self._columns.items()})
+
+
 def avg_entanglement(family: BellFamily, probs: Sequence[float] | None = None) -> float:
     """Probability-weighted mean entanglement entropy of the four members."""
     if probs is None:
         probs = (0.25,) * 4
     if len(probs) != 4:
         raise ValidationError(f"expected 4 probabilities, got {len(probs)}")
+    probs = check_probabilities(probs).tolist()
     h_a = binary_entropy(family.a**2)
     h_c = binary_entropy(family.c**2)
     member_entropy = (h_a, h_a, h_c, h_c)
@@ -104,42 +138,17 @@ def _majorized_rows(lam_desc: np.ndarray, target_cumsum: np.ndarray, tol: float)
     return np.all(np.cumsum(lam_desc, axis=1) <= target_cumsum + tol, axis=1)
 
 
-def _resource_feasible(alpha2: np.ndarray, lam_desc: np.ndarray, tol: float) -> np.ndarray:
-    """Full partial-sum test of (alpha2, 1-alpha2) x spectrum against (1/2, 1/2, 0, ...)."""
-    cand = np.concatenate([alpha2[:, None] * lam_desc, (1.0 - alpha2[:, None]) * lam_desc], axis=1)
-    cand = -np.sort(-cand, axis=1)
-    target_cumsum = np.ones(cand.shape[1])
-    target_cumsum[0] = 0.5
-    return np.all(np.cumsum(cand, axis=1) <= target_cumsum + tol, axis=1)
-
-
-def _alpha2_max_rows(lam_desc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized replica of the bisection in ``assisted_alpha2_max``."""
-    n = lam_desc.shape[0]
-    feasible = _resource_feasible(np.full(n, 0.5), lam_desc, FEASIBILITY_TOL)
-    at_one = _resource_feasible(np.ones(n), lam_desc, FEASIBILITY_TOL)
-    lo, hi = np.full(n, 0.5), np.ones(n)
-    for _ in range(BISECTION_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        ok = _resource_feasible(mid, lam_desc, FEASIBILITY_TOL)
-        lo = np.where(ok, mid, lo)
-        hi = np.where(ok, hi, mid)
-    alpha2 = np.where(at_one, 1.0, lo)
-    alpha2 = np.where(feasible, alpha2, np.nan)
-    return alpha2, feasible
-
-
 def run_sweep(
     mode: str,
     grid_n: int = DEFAULT_GRID_N,
     probs: Sequence[float] | None = None,
     which: Sequence[int] = (0, 1, 2),
-) -> list[SweepRecord]:
+) -> SweepTable:
     """Evaluate one analysis mode on the uniform grid_n x grid_n lattice over [0.5, 1]^2.
 
-    Modes:
+    Returns a read-only sequence of records over numpy columns. Modes:
       * ``assist``: unassisted feasibility plus the assisted-resource bound
-        and its entropy cost (the resource search itself always uses equal
+        and its entropy cost (the resource bound itself always uses equal
         priors, matching ``assisted_alpha2_max``).
       * ``preserve``: entanglement cost of discrimination that keeps the
         identified state intact.
@@ -152,10 +161,10 @@ def run_sweep(
         raise ValidationError(f"grid_n must be at least 2, got {grid_n}")
     if probs is None:
         probs = (1 / 3,) * 3 if mode == "feasible3" else (0.25,) * 4
-    probs = [float(p) for p in probs]
     expected = 3 if mode == "feasible3" else 4
     if len(probs) != expected:
         raise ValidationError(f"mode {mode!r} expects {expected} probabilities, got {len(probs)}")
+    probs = check_probabilities(probs).tolist()
     which = tuple(int(i) for i in which)
     if mode == "feasible3" and (
         len(which) != 3 or len(set(which)) != 3 or not all(0 <= i < 4 for i in which)
@@ -163,71 +172,63 @@ def run_sweep(
         raise ValidationError(f"which={which!r} must be three distinct indices in 0..3")
 
     axis = np.linspace(0.5, 1.0, grid_n)
-    a2g, c2g = np.meshgrid(axis, axis, indexing="ij")
-    a2, c2 = a2g.ravel(), c2g.ravel()
-    pointer_mats = [np.real(ptr.coefficient_matrix()) for ptr in bell_states()]
-    members = _member_matrices(a2, c2)
-
+    a2, c2 = np.repeat(axis, grid_n), np.tile(axis, grid_n)
     h_a, h_c = _binary_entropy_rows(a2), _binary_entropy_rows(c2)
     member_entropy = (h_a, h_a, h_c, h_c)
-
-    if mode == "assist":
-        avg_ent = sum(p * member_entropy[i] for i, p in enumerate(probs))
-        lam = _pointer_spectra(members, probs, pointer_mats)
-        unassisted = _majorized_rows(lam, np.array([0.5, 1.0, 1.0, 1.0]), DEFAULT_TOL)
-        if probs == [0.25] * 4:
-            lam_equal = lam
-        else:
-            lam_equal = _pointer_spectra(members, (0.25,) * 4, pointer_mats)
-        alpha2, feasible = _alpha2_max_rows(lam_equal)
-        cost = np.where(feasible, _binary_entropy_rows(np.where(feasible, alpha2, 0.5)), np.nan)
-        return [
-            SweepRecord(
-                a2=float(a2[k]),
-                c2=float(c2[k]),
-                avg_ent_ebits=float(avg_ent[k]),
-                feasible_unassisted=bool(unassisted[k]),
-                alpha2_max=float(alpha2[k]),
-                assist_cost_ebits=float(cost[k]),
-            )
-            for k in range(a2.size)
-        ]
+    indices = which if mode == "feasible3" else range(4)
+    columns = {
+        "a2": a2,
+        "c2": c2,
+        "avg_ent_ebits": sum(p * member_entropy[i] for p, i in zip(probs, indices)),
+    }
 
     if mode == "preserve":
-        avg_ent = sum(p * member_entropy[i] for i, p in enumerate(probs))
         # Each member's self-tensored spectrum is already sorted, so the
         # mixture is the component-wise weighted sum (x^2, xy, xy, y^2).
         w_a, w_c = probs[0] + probs[1], probs[2] + probs[3]
         b2, d2 = 1.0 - a2, 1.0 - c2
-        columns = [
+        mixed = [
             w_a * a2**2 + w_c * c2**2,
             w_a * a2 * b2 + w_c * c2 * d2,
             w_a * a2 * b2 + w_c * c2 * d2,
             w_a * b2**2 + w_c * d2**2,
         ]
-        cost = sum(_entropy_terms(col) for col in columns)
-        return [
-            SweepRecord(
-                a2=float(a2[k]),
-                c2=float(c2[k]),
-                avg_ent_ebits=float(avg_ent[k]),
-                preserve_cost_ebits=float(cost[k]),
-            )
-            for k in range(a2.size)
-        ]
+        # Clamped at 0 like entropy_bits: priors summing to 1 only within
+        # rounding can leave a -1e-16 cost at the product corner.
+        columns["preserve_cost_ebits"] = np.maximum(sum(_entropy_terms(col) for col in mixed), 0.0)
+        return SweepTable(columns)
 
-    avg_ent = sum(p * member_entropy[i] for p, i in zip(probs, which))
-    lam = _pointer_spectra([members[i] for i in which], probs, pointer_mats[:3])
-    feasible3 = _majorized_rows(lam, np.array([0.5, 1.0, 1.0, 1.0]), DEFAULT_TOL)
-    return [
-        SweepRecord(
-            a2=float(a2[k]),
-            c2=float(c2[k]),
-            avg_ent_ebits=float(avg_ent[k]),
-            feasible_unassisted=bool(feasible3[k]),
-        )
-        for k in range(a2.size)
-    ]
+    pointer_mats = [np.real(ptr.coefficient_matrix()) for ptr in bell_states()]
+    members = _member_matrices(a2, c2)
+    lam = _pointer_spectra([members[i] for i in indices], probs, pointer_mats[: len(probs)])
+    columns["feasible_unassisted"] = _majorized_rows(lam, np.array([0.5, 1.0, 1.0, 1.0]), DEFAULT_TOL)
+    if mode == "assist":
+        if probs != [0.25] * 4:
+            lam = _pointer_spectra(members, (0.25,) * 4, pointer_mats)
+        columns["alpha2_max"] = alpha2 = alpha2_max_from_lambda(lam[:, 0])
+        columns["assist_cost_ebits"] = _binary_entropy_rows(alpha2)
+    return SweepTable(columns)
+
+
+def _csv_chunks(columns: dict[str, np.ndarray], size: int) -> Iterator[str]:
+    """CSV rows, CSV_CHUNK_ROWS at a time, each formatted by one %-pattern.
+
+    Float columns print with %.12g (the same text as format(v, ".12g")),
+    boolean columns as true/false, absent columns as empty fields, and
+    object columns (already formatted strings) as they are.
+    """
+    patterns, cells = [], []
+    for name in _FIELDS:
+        column = columns.get(name)
+        if column is None:
+            patterns.append("")
+            continue
+        patterns.append("%s" if column.dtype.kind in "bO" else "%.12g")
+        cells.append(np.where(column, "true", "false") if column.dtype.kind == "b" else column)
+    row = ",".join(patterns) + "\n"
+    for start in range(0, size, CSV_CHUNK_ROWS):
+        chunk = zip(*(column[start : start + CSV_CHUNK_ROWS].tolist() for column in cells))
+        yield "".join([row % values for values in chunk])
 
 
 def _format_field(value) -> str:
@@ -240,23 +241,15 @@ def _format_field(value) -> str:
 
 def records_to_csv(records: Sequence[SweepRecord]) -> str:
     """Render records under the fixed header, floats at 12 significant digits."""
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                _format_field(v)
-                for v in (
-                    r.a2,
-                    r.c2,
-                    r.avg_ent_ebits,
-                    r.feasible_unassisted,
-                    r.alpha2_max,
-                    r.assist_cost_ebits,
-                    r.preserve_cost_ebits,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    if isinstance(records, SweepTable):
+        columns = records._columns
+    else:
+        records = list(records)
+        columns = {
+            name: np.array([_format_field(getattr(r, name)) for r in records], dtype=object)
+            for name in _FIELDS
+        }
+    return "".join([CSV_HEADER, "\n", *_csv_chunks(columns, len(records))])
 
 
 def write_csv(records: Sequence[SweepRecord], destination) -> None:

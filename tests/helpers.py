@@ -3,7 +3,7 @@
 The oracles deliberately avoid the library's own code paths: spectra come
 from a dense eigensolve of the reduced density matrix (the package uses SVD),
 entropies from a plain Python loop, and the resource boundary from a brute
-grid scan (the package bisects).
+grid scan (the package uses the closed form).
 """
 
 import math

@@ -1,8 +1,11 @@
 import json
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import entdisc
 from entdisc import records_to_csv, run_sweep
 from entdisc.cli import load_ensemble_file, main
 
@@ -250,3 +253,91 @@ class TestUsage:
         with pytest.raises(SystemExit) as info:
             main(["sweep"])
         assert info.value.code == 2
+
+
+NAN_AMPLITUDE_STATES = (
+    '{"states": [{"amplitudes": [[NaN, 0], [0, 0], [0, 0], [1, 0]], "dim_a": 2, "dim_b": 2},'
+    ' {"amplitudes": [[0, 0], [1, 0], [0, 0], [0, 0]], "dim_a": 2, "dim_b": 2}], "probs": [0.5, 0.5]}'
+)
+
+
+class TestInputContract:
+    """Bad inputs exit 2 with exactly one 'error:' line and no warning."""
+
+    def assert_rejected(self, capsys, *argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert caught == []
+
+    def test_priors_summing_beyond_one(self, capsys):
+        self.assert_rejected(capsys, "sweep", "--mode", "preserve", "--grid-n", "3", "--probs", "0.9,0.9,0.9,0.9")
+
+    def test_negative_priors_in_assist_sweep(self, capsys):
+        self.assert_rejected(capsys, "sweep", "--mode", "assist", "--grid-n", "3", "--probs", "2,-1,0,0")
+
+    def test_nan_prior_in_family_file(self, capsys, tmp_path):
+        path = tmp_path / "ens.json"
+        path.write_text('{"family": {"a2": 0.8, "c2": 0.7}, "probs": [NaN, 0.5, 0.25, 0.25]}')
+        self.assert_rejected(capsys, "discriminate", "--ensemble", str(path))
+        self.assert_rejected(capsys, "bounds", "--ensemble", str(path))
+
+    def test_nan_amplitude_in_states_file(self, capsys, tmp_path):
+        path = tmp_path / "ens.json"
+        path.write_text(NAN_AMPLITUDE_STATES)
+        self.assert_rejected(capsys, "discriminate", "--ensemble", str(path))
+
+    def test_fractional_which(self, capsys):
+        self.assert_rejected(capsys, "three-state", "--a2", "0.9", "--c2", "0.8", "--which", "0.9,1,2")
+        self.assert_rejected(capsys, "sweep", "--mode", "feasible3", "--grid-n", "3", "--which", "0.9,1,2")
+
+    def test_integer_which_unchanged(self, capsys):
+        explicit = get_json(capsys, "three-state", "--a2", "0.9", "--c2", "0.8", "--which", "0,1,2", "--json")
+        default = get_json(capsys, "three-state", "--a2", "0.9", "--c2", "0.8", "--json")
+        assert explicit == default
+        assert explicit["which"] == [0, 1, 2]
+        code, out, _ = run_cli(capsys, "sweep", "--mode", "feasible3", "--grid-n", "5", "--which", "0,1,2")
+        assert code == 0
+        assert out == records_to_csv(run_sweep("feasible3", 5))
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-1e-12", "abc"])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        for command in (["discriminate", "--a2", "1", "--c2", "1"], ["convert", "--source", "1", "--target", "1"]):
+            with pytest.raises(SystemExit) as info:
+                main(command + [f"--tol={tol}"])
+            assert info.value.code == 2
+
+    def test_tol_zero_accepted(self, capsys):
+        result = get_json(capsys, "discriminate", "--a2", "1", "--c2", "1", "--tol", "0", "--json")
+        assert result["feasible_unassisted"] is True
+
+
+class TestSweepCallChain:
+    def test_out_calls_each_stage_once(self, tmp_path, monkeypatch):
+        # the sweep command runs run_sweep -> write_csv -> records_to_csv,
+        # each once; a tracer that wraps these public names (rebinding them
+        # in every loaded entdisc module) then times one span of each
+        calls = {"run_sweep": 0, "write_csv": 0, "records_to_csv": 0}
+        for name in calls:
+            original = getattr(entdisc.sweep, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name == "entdisc" or module_name.startswith("entdisc."):
+                    for key, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, key, counted)
+        # and it formats the columns without building a record per point
+        monkeypatch.setattr(entdisc.sweep, "SweepRecord", None)
+        target = tmp_path / "scan.csv"
+        assert main(["sweep", "--mode", "assist", "--grid-n", "5", "--out", str(target)]) == 0
+        assert calls == {"run_sweep": 1, "write_csv": 1, "records_to_csv": 1}
+        monkeypatch.undo()
+        assert target.read_text(encoding="utf-8") == records_to_csv(run_sweep("assist", 5))

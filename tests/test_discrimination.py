@@ -13,6 +13,7 @@ from entdisc import (
     closed_form_lhs,
     conjugation_probe,
     entanglement_entropy,
+    entropy_bits,
     locc_deterministic_feasible,
     locc_ensemble_feasible,
     majorizes,
@@ -191,16 +192,16 @@ class TestAssistedCost:
         assert report.first_sum_bound == pytest.approx(expected, abs=1e-12)
         assert report.alpha2_max == pytest.approx(expected, abs=1e-9)
 
-    def test_bisection_against_grid_scan_oracle(self):
+    def test_closed_form_against_grid_scan_oracle(self):
         for a2, c2 in [(0.6, 0.9), (0.75, 0.75), (1.0, 0.5), (0.55, 1.0)]:
             family = BellFamily.from_squared(a2, c2)
             lam = reduced_spectrum(family_pointer_state(family)).entries
             report = assisted_alpha2_max(family)
             assert report.alpha2_max == pytest.approx(alpha2_max_scan(lam), abs=2e-4)
 
-    def test_bisection_feasibility_matches_public_majorization_route(self):
-        # the fast partial-sum path must agree with tensor + majorizes: one
-        # step below the reported boundary is feasible, one step above is not
+    def test_closed_form_matches_tensor_majorization_route(self):
+        # the closed form must agree with tensor + majorizes: one step below
+        # the reported boundary is feasible, one step above is not
         rng = np.random.default_rng(19)
         target = ProbVector([0.5, 0.5])
         for _ in range(50):
@@ -214,6 +215,38 @@ class TestAssistedCost:
                 resource = ProbVector([alpha2, 1.0 - alpha2])
                 expected = delta < 0
                 assert majorizes(tensor(resource, lam), target, tol=1e-12) == expected
+
+    def test_any_resource_feasible_iff_top_entry_within_bound(self):
+        # a resource r of any dimension unlocks discrimination iff
+        # r_1 <= 1/(2 lambda_1), and then it carries at least the two-term
+        # cost: the two-term model loses nothing
+        rng = np.random.default_rng(41)
+        target = ProbVector([0.5, 0.5])
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            family = BellFamily.from_squared(rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0))
+            lam = reduced_spectrum(family_pointer_state(family))
+            report = assisted_alpha2_max(family)
+            dim = int(rng.integers(2, 6))
+            top = rng.uniform(1.0 / dim, 1.0)
+            resource = ProbVector(np.concatenate(([top], (1.0 - top) * rng.dirichlet(np.ones(dim - 1)))))
+            bound = 1.0 / (2.0 * lam.entries[0])
+            if abs(resource.entries[0] - bound) < 1e-9:
+                continue
+            feasible = majorizes(tensor(resource, lam), target, tol=1e-12)
+            assert feasible == (resource.entries[0] < bound)
+            if feasible:
+                assert entropy_bits(resource) >= report.cost_ebits - 1e-12
+            seen[feasible] += 1
+        assert min(seen.values()) > 50
+
+    def test_report_fields_are_identities(self):
+        rng = np.random.default_rng(42)
+        for _ in range(50):
+            family = BellFamily.from_squared(rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0))
+            report = assisted_alpha2_max(family)
+            assert report.feasible is True
+            assert report.alpha2_max == pytest.approx(report.first_sum_bound, abs=1e-12)
 
     def test_never_exceeds_first_sum_bound(self):
         rng = np.random.default_rng(20)

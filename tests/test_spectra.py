@@ -38,6 +38,9 @@ class TestProbVector:
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
             ProbVector([np.nan, 1.0])
+        for bad in ([np.inf, 0.0], [-np.inf, 1.0], [np.nan]):
+            with pytest.raises(ValidationError):
+                ProbVector(bad)
 
     def test_entries_are_read_only(self):
         v = ProbVector([0.5, 0.5])
@@ -172,6 +175,12 @@ class TestEntropy:
             v = random_prob_vector(rng, d)
             h = entropy_bits(v)
             assert -1e-12 <= h <= np.log2(d) + 1e-12
+
+    def test_clamped_at_zero(self):
+        # a near-pure vector whose entries sum to 1 only within rounding
+        # has a tiny negative plain-sum entropy
+        v = ProbVector([1.0 + 5e-10, 1e-300])
+        assert entropy_bits(v) == 0.0
 
     def test_schur_concavity(self):
         rng = np.random.default_rng(13)

@@ -32,6 +32,11 @@ class TestPureState:
         with pytest.raises(ValidationError):
             PureState(np.array([1.0, 1.0, 0.0, 0.0]), 2, 2)
 
+    def test_rejects_non_finite_amplitudes(self):
+        for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+            with pytest.raises(ValidationError, match="finite"):
+                PureState(np.array([bad, 0.0, 0.0, 1.0]), 2, 2)
+
     def test_matrix_round_trip(self):
         state = random_pure_state(np.random.default_rng(0), 3, 4)
         again = PureState.from_matrix(state.coefficient_matrix())
@@ -189,6 +194,13 @@ class TestEnsemble:
     def test_validates_negative_probability(self):
         with pytest.raises(ValidationError):
             Ensemble(((1.5, BELL), (-0.5, PRODUCT)))
+
+    def test_validates_non_finite_probability(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError):
+                Ensemble(((bad, BELL), (0.5, PRODUCT)))
+            with pytest.raises(ValidationError):
+                Ensemble(((1.0, BELL), (bad, PRODUCT)))
 
     def test_validates_common_dimensions(self):
         odd = random_pure_state(np.random.default_rng(17), 4, 1)

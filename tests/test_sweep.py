@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from entdisc import (
     CSV_HEADER,
     BellFamily,
+    SweepRecord,
     ValidationError,
     assisted_alpha2_max,
     avg_entanglement,
@@ -46,6 +48,11 @@ class TestAvgEntanglement:
         with pytest.raises(ValidationError):
             avg_entanglement(BellFamily.from_squared(0.5, 1.0), [0.5, 0.5])
 
+    def test_rejects_invalid_priors(self):
+        for probs in ([0.9] * 4, [np.nan, 0.5, 0.25, 0.25], [2.0, -1.0, 0.0, 0.0]):
+            with pytest.raises(ValidationError):
+                avg_entanglement(BellFamily.from_squared(0.5, 1.0), probs)
+
 
 class TestRunSweep:
     def test_rejects_unknown_mode(self):
@@ -65,6 +72,44 @@ class TestRunSweep:
     def test_rejects_bad_subset(self):
         with pytest.raises(ValidationError):
             run_sweep("feasible3", 5, which=(0, 1))
+
+    @pytest.mark.parametrize(
+        "mode, probs",
+        [
+            ("preserve", [0.9, 0.9, 0.9, 0.9]),
+            ("assist", [2.0, -1.0, 0.0, 0.0]),
+            ("assist", [np.nan, 0.5, 0.25, 0.25]),
+            ("feasible3", [0.5, 0.5, np.inf]),
+        ],
+    )
+    def test_rejects_invalid_priors(self, mode, probs):
+        with pytest.raises(ValidationError):
+            run_sweep(mode, 3, probs=probs)
+
+    def test_sequence_protocol(self):
+        records = run_sweep("assist", 4)
+        rows = list(records)
+        assert len(records) == len(rows) == 16
+        assert all(isinstance(r, SweepRecord) for r in rows)
+        assert records[-1] == rows[-1] == records[15]
+        assert records[-16] == rows[0]
+        with pytest.raises(IndexError):
+            records[16]
+        with pytest.raises(IndexError):
+            records[-17]
+        assert list(records[3:9:2]) == rows[3:9:2]
+        assert list(records[::-1]) == rows[::-1]
+        assert len(records[5:5]) == 0
+        assert records_to_csv(records[2:7]) == records_to_csv(rows[2:7])
+        assert isinstance(records[0].feasible_unassisted, bool)
+        assert type(records[0].alpha2_max) is float
+
+    def test_read_only(self):
+        records = run_sweep("preserve", 3)
+        with pytest.raises(TypeError):
+            records[0] = records[1]
+        with pytest.raises(AttributeError):
+            records[0].a2 = 0.7
 
     def test_row_major_ordering_and_size(self):
         records = run_sweep("preserve", 3)
@@ -152,6 +197,14 @@ class TestRunSweep:
             )
             assert feas3[k].feasible_unassisted == three_state_feasible(family)
 
+    def test_preserve_costs_nonnegative_for_rounded_priors(self):
+        # priors summing to 1 only within rounding used to give -1e-16 at (1, 1)
+        rng = np.random.default_rng(48)
+        for _ in range(200):
+            probs = rng.dirichlet(np.ones(4)).tolist()
+            assert preserve_cost(BellFamily.from_squared(1.0, 1.0), probs) >= 0.0
+            assert run_sweep("preserve", 2, probs=probs)[-1].preserve_cost_ebits >= 0.0
+
     def test_nonuniform_priors_match_pointwise_op(self):
         records = {(r.a2, r.c2): r for r in run_sweep("assist", 3, probs=[0.97, 0.01, 0.01, 0.01])}
         family = BellFamily.from_squared(0.5, 0.5)
@@ -201,6 +254,38 @@ class TestCsv:
         row = records_to_csv(records).splitlines()[2].split(",")
         assert row[2] == format(records[1].avg_ent_ebits, ".12g")
         assert float(row[6]) == pytest.approx(records[1].preserve_cost_ebits, rel=1e-11)
+
+    # SHA-256 of the CSV text as emitted before the sweep kept its results
+    # as columns; preserve and feasible3 output must not change by a byte.
+    @pytest.mark.parametrize(
+        "mode, grid_n, probs, which, digest",
+        [
+            ("preserve", 21, None, (0, 1, 2), "91c7cfe4724f0e0bc4f00cb7d19aff796c9cc053f0d731bc9caa22ac54ee8e35"),
+            ("preserve", 21, [0.4, 0.3, 0.2, 0.1], (0, 1, 2), "a2ec833594affaf766f6de0d9a7d58f3da0ad7d345a46f34d8303daa18b05e26"),
+            ("preserve", 101, None, (0, 1, 2), "e6518a83d92075520987e6f82b8110290d35a650ef8d6ac42e7fae4c31562d1a"),
+            ("preserve", 101, [0.4, 0.3, 0.2, 0.1], (0, 1, 2), "ce59c99782052660f9811e1d7505f7bcd34ce4ed1acaf008fa7bc98475771be7"),
+            ("feasible3", 21, None, (0, 1, 2), "62d56cd76de9db9d3544f821a4ec99622666dd5d035ac4cd2c2f5921a68e9f34"),
+            ("feasible3", 21, [0.5, 0.3, 0.2], (3, 0, 2), "554882d81b14870443e3427cea0fdda87dc5eae1d3310865dee2bd729d2541a4"),
+            ("feasible3", 101, None, (0, 1, 2), "7223d5cb994ebd3fc7ef59fadeb888590af777fb98d4d22e7cb08ac157087d31"),
+            ("feasible3", 101, [0.5, 0.3, 0.2], (3, 0, 2), "988f2b9a7edca8c80b31a663ccf8793330b51000cf0582674a4dec7d883cb992"),
+        ],
+    )
+    def test_pinned_digest(self, mode, grid_n, probs, which, digest):
+        text = records_to_csv(run_sweep(mode, grid_n, probs=probs, which=which))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    def test_arbitrary_record_lists(self):
+        # lists of records, including mixed modes, render as the per-field
+        # formatting always did
+        records = list(run_sweep("assist", 3)) + list(run_sweep("preserve", 3))
+        records.append(SweepRecord(a2=0.5, c2=0.5, avg_ent_ebits=1 / 3, feasible_unassisted=False))
+        lines = records_to_csv(records).splitlines()
+        assert lines[0] == CSV_HEADER and len(lines) == 20
+        assert lines[9] == "1,1,0,true,1,0,"
+        assert lines[10] == "0.5,0.5,1,,,,2"
+        assert lines[-1] == "0.5,0.5,0.333333333333,false,,,"
+        assert records_to_csv([]) == CSV_HEADER + "\n"
+        assert records_to_csv(iter(records)) == records_to_csv(records)
 
     def test_byte_identical_across_runs(self):
         first = records_to_csv(run_sweep("assist", 9))
