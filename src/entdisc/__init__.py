@@ -11,6 +11,7 @@ from .discrimination import (
     assisted_alpha2_max,
     closed_form_lhs,
     conjugation_probe,
+    ensemble_discrimination_feasible,
     locc_deterministic_feasible,
     locc_ensemble_feasible,
     partial_inner_product,
@@ -79,6 +80,7 @@ __all__ = [
     "closed_form_lhs",
     "conjugation_probe",
     "distinguishability_bound",
+    "ensemble_discrimination_feasible",
     "entanglement_entropy",
     "entropy_bits",
     "geometric_measure",

@@ -1,8 +1,9 @@
 """Command-line frontend: every analysis as a subcommand.
 
 Results go to standard output as ``key = value`` lines, or as a single JSON
-object under ``--json``. Validation problems exit with status 2 and a
-one-line reason on standard error; unexpected failures exit with status 1.
+object under ``--json``. Validation problems and usage errors exit with
+status 2 and a one-line reason on standard error; unexpected failures exit
+with status 1.
 """
 
 from __future__ import annotations
@@ -17,24 +18,17 @@ import numpy as np
 
 from .discrimination import (
     assisted_alpha2_max,
+    ensemble_discrimination_feasible,
     locc_ensemble_feasible,
     perfect_discrimination_feasible,
-    pointer_state,
     preserve_cost,
     preserve_spectrum,
     three_state_feasible,
 )
 from .errors import ValidationError
-from .spectra import DEFAULT_TOL, ProbVector, majorizes, mix
-from .states import (
-    BellFamily,
-    Ensemble,
-    PureState,
-    bell_states,
-    distinguishability_bound,
-    reduced_spectrum,
-)
-from .sweep import SWEEP_MODES, records_to_csv, run_sweep, write_csv
+from .spectra import DEFAULT_TOL, ProbVector
+from .states import BellFamily, Ensemble, PureState, check_family_priors, distinguishability_bound
+from .sweep import MAX_GRID_N, SWEEP_MODES, records_to_csv, run_sweep, write_csv
 
 # File-level normalization slack: looser than the in-memory tolerance, so
 # hand-edited ensembles load (renormalized, with a warning).
@@ -94,9 +88,7 @@ def load_ensemble_file(path: str) -> tuple[Ensemble, BellFamily | None, list[flo
         if not isinstance(entry, dict) or "a2" not in entry or "c2" not in entry:
             raise ValidationError("'family' must be an object with keys 'a2' and 'c2'")
         family = BellFamily.from_squared(float(entry["a2"]), float(entry["c2"]))
-        probs = [float(p) for p in data.get("probs", (0.25,) * 4)]
-        if len(probs) != 4:
-            raise ValidationError(f"family ensembles need 4 probabilities, got {len(probs)}")
+        probs = check_family_priors(data.get("probs"), 4)
         return Ensemble(tuple(zip(probs, family.states()))), family, probs
 
     raw_states = data["states"]
@@ -159,18 +151,8 @@ def _family_from_args(args) -> tuple[BellFamily, list[float] | None]:
 
 def _cmd_discriminate(args) -> int:
     if args.ensemble:
-        ensemble, family, probs = load_ensemble_file(args.ensemble)
-        if family is not None:
-            feasible = perfect_discrimination_feasible(family, probs, tol=args.tol)
-        else:
-            pointers = bell_states()
-            if len(ensemble.members) > len(pointers):
-                raise ValidationError("at most 4 ensemble members are supported")
-            pointers = pointers[: len(ensemble.members)]
-            lam = reduced_spectrum(pointer_state(ensemble, pointers))
-            target = mix([(p, reduced_spectrum(ptr)) for p, ptr in zip(ensemble.probs, pointers)])
-            feasible = majorizes(lam, target, tol=args.tol)
-        _emit({"feasible_unassisted": feasible}, args.json)
+        ensemble, _, _ = load_ensemble_file(args.ensemble)
+        _emit({"feasible_unassisted": ensemble_discrimination_feasible(ensemble, args.tol)}, args.json)
         return 0
     family, probs = _family_from_args(args)
     feasible = perfect_discrimination_feasible(family, probs, tol=args.tol)
@@ -226,7 +208,7 @@ def _cmd_bounds(args) -> int:
         ensemble, _, _ = load_ensemble_file(args.ensemble)
     else:
         family, probs = _family_from_args(args)
-        ensemble = Ensemble(tuple(zip(probs or (0.25,) * 4, family.states())))
+        ensemble = Ensemble(tuple(zip(check_family_priors(probs, 4), family.states())))
     bound = distinguishability_bound(ensemble)
     _emit(
         {
@@ -258,16 +240,26 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line, ``error: <message>``, and exits 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="entdisc",
         description="Majorization-based feasibility and entanglement costs of local state discrimination.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="partial-sum comparison tolerance")
     common.add_argument("--json", action="store_true", help="emit one JSON object instead of text")
+
+    # Only the commands that make a majorization verdict take --tol.
+    tol_flag = argparse.ArgumentParser(add_help=False)
+    tol_flag.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="partial-sum comparison tolerance")
 
     family_flags = argparse.ArgumentParser(add_help=False)
     family_flags.add_argument("--a2", type=float, help="squared Schmidt parameter of the first pair, in [0.5, 1]")
@@ -275,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "discriminate",
-        parents=[common, family_flags],
+        parents=[common, tol_flag, family_flags],
         help="perfect LOCC distinguishability of the four-state family or a JSON ensemble",
     )
     p.add_argument("--probs", help="comma-separated priors (default: uniform)")
@@ -284,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "three-state",
-        parents=[common, family_flags],
+        parents=[common, tol_flag, family_flags],
         help="distinguishability of a three-member subset",
     )
     p.add_argument("--which", default="0,1,2", help="three member indices, zero-based (default 0,1,2)")
@@ -317,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "convert",
-        parents=[common],
+        parents=[common, tol_flag],
         help="LOCC convertibility between Schmidt spectra (deterministic or probabilistic)",
     )
     p.add_argument("--source", required=True, help="source spectrum, e.g. 0.5,0.5")
@@ -331,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid scan over (a2, c2), emitted as CSV")
     p.add_argument("--mode", required=True, choices=SWEEP_MODES)
-    p.add_argument("--grid-n", type=int, default=101, help="lattice points per axis (default 101)")
+    p.add_argument("--grid-n", type=int, default=101, help=f"lattice points per axis (default 101, at most {MAX_GRID_N})")
     p.add_argument("--probs", help="comma-separated priors")
     p.add_argument("--which", default="0,1,2", help="subset for feasible3 mode")
     p.add_argument("--out", metavar="FILE", help="write CSV here instead of standard output")

@@ -5,7 +5,9 @@ an ensemble {p_i, psi_i} on the A:B cut is encoded as the composite state
 sum_i sqrt(p_i) |psi_i>_AB |phi_i>_CD with mutually orthogonal pointers
 phi_i, read as a bipartite state on the AC:BD cut. Distinguishing the
 ensemble then implies an ensemble transformation of the composite into the
-pointers, which majorization decides.
+pointers, which majorization decides. With Bell pointers, ``pointer_spectra``
+computes the composite's reduced spectrum for a batch of problems, and the
+per-point calls, the sweeps and the CLI all run it (a batch of one per point).
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ from .spectra import (
     tensor,
 )
 from .states import (
+    BELL_MATRICES,
     BellFamily,
     Ensemble,
     PureState,
-    bell_states,
-    reduced_spectrum,
+    check_family_priors,
+    check_which,
+    family_matrices,
 )
 
 __all__ = [
@@ -40,6 +44,7 @@ __all__ = [
     "assisted_alpha2_max",
     "closed_form_lhs",
     "conjugation_probe",
+    "ensemble_discrimination_feasible",
     "locc_deterministic_feasible",
     "locc_ensemble_feasible",
     "partial_inner_product",
@@ -51,8 +56,6 @@ __all__ = [
 ]
 
 ZERO_NORM_TOL = 1e-12
-
-EQUAL_PRIORS_4 = (0.25, 0.25, 0.25, 0.25)
 
 
 def pointer_state(ensemble: Ensemble, pointers: Sequence[PureState]) -> PureState:
@@ -102,11 +105,47 @@ def locc_ensemble_feasible(
     return majorizes(source, mix(targets), tol)
 
 
-def _family_ensemble(family: BellFamily, probs: Sequence[float], expected: int) -> list[float]:
-    probs = [float(p) for p in probs]
-    if len(probs) != expected:
-        raise ValidationError(f"expected {expected} probabilities, got {len(probs)}")
-    return probs
+def pointer_spectra(member_mats: np.ndarray, probs: Sequence[float]) -> np.ndarray:
+    """Descending reduced spectra of a batch of Bell-pointer states, shape (n, 2 * min(dim_a, dim_b)).
+
+    ``member_mats`` (k <= 4 arrays of shape (n, dim_a, dim_b), real or
+    complex) holds member i of each of n problems; it is weighted by
+    sqrt(probs[i]) and paired with the i-th Bell state on the AC:BD cut,
+    exactly as ``pointer_state`` builds one problem.
+    """
+    n, dim_a, dim_b = member_mats[0].shape
+    shape = (n, 2 * dim_a, 2 * dim_b)
+    composite = np.zeros(shape, dtype=np.result_type(member_mats[0], float))
+    for psi, prob, phi in zip(member_mats, probs, BELL_MATRICES):
+        composite += np.sqrt(prob) * np.einsum("nab,cd->nacbd", psi, phi).reshape(shape)
+    return np.linalg.svd(composite, compute_uv=False) ** 2
+
+
+def pointer_majorized(lam: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Which rows of ``lam`` are majorized by the mixed Bell-pointer spectrum.
+
+    Every Bell pointer has spectrum (1/2, 1/2), so for any priors the mixed
+    target is (1/2, 1/2, 0, ...), compared at the spectra's length.
+    """
+    target = np.cumsum([0.5, 0.5] + [0.0] * (lam.shape[1] - 2))
+    return np.all(np.cumsum(lam, axis=1) <= target + tol, axis=1)
+
+
+def _family_batch(family: BellFamily) -> np.ndarray:
+    """The family's member matrices as a batch of one, shape (4, 1, 2, 2)."""
+    return family_matrices(family.a, family.b, family.c, family.d)[:, None]
+
+
+def ensemble_discrimination_feasible(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> bool:
+    """Can the ensemble's members be perfectly distinguished by LOCC alone?
+
+    Attaches the i-th Bell state as the i-th member's pointer and tests the
+    pointer state's spectrum against the mixed pointer spectra.
+    """
+    if len(ensemble.members) > len(BELL_MATRICES):
+        raise ValidationError("at most 4 ensemble members are supported")
+    members = np.stack([s.coefficient_matrix() for s in ensemble.states])[:, None]
+    return bool(pointer_majorized(pointer_spectra(members, ensemble.probs), tol)[0])
 
 
 def perfect_discrimination_feasible(
@@ -119,12 +158,8 @@ def perfect_discrimination_feasible(
     Builds the pointer state over the four maximally entangled pointers and
     tests its spectrum against the mixed pointer spectra.
     """
-    probs = _family_ensemble(family, probs if probs is not None else EQUAL_PRIORS_4, 4)
-    pointers = bell_states()
-    ensemble = Ensemble(tuple(zip(probs, family.states())))
-    lam = reduced_spectrum(pointer_state(ensemble, pointers))
-    target = mix([(p, reduced_spectrum(ptr)) for p, ptr in zip(probs, pointers)])
-    return majorizes(lam, target, tol)
+    lam = pointer_spectra(_family_batch(family), check_family_priors(probs, 4))
+    return bool(pointer_majorized(lam, tol)[0])
 
 
 def closed_form_lhs(family: BellFamily) -> float:
@@ -144,16 +179,9 @@ def three_state_feasible(
     members are attached, in order, to the first three maximally entangled
     pointer states.
     """
-    which = tuple(int(i) for i in which)
-    if len(which) != 3 or len(set(which)) != 3 or not all(0 <= i < 4 for i in which):
-        raise ValidationError(f"which={which!r} must be three distinct indices in 0..3")
-    probs = _family_ensemble(family, probs if probs is not None else (1 / 3,) * 3, 3)
-    members = family.states()
-    pointers = bell_states()[:3]
-    ensemble = Ensemble(tuple(zip(probs, (members[i] for i in which))))
-    lam = reduced_spectrum(pointer_state(ensemble, pointers))
-    target = mix([(p, reduced_spectrum(ptr)) for p, ptr in zip(probs, pointers)])
-    return majorizes(lam, target, tol)
+    members = _family_batch(family)[list(check_which(which))]
+    lam = pointer_spectra(members, check_family_priors(probs, 3))
+    return bool(pointer_majorized(lam, tol)[0])
 
 
 @dataclass(frozen=True)
@@ -203,8 +231,7 @@ def assisted_alpha2_max(family: BellFamily) -> CostReport:
     t >= 1/2 the vector (t, 1-t) majorizes every r with r_1 <= t. Entropy is
     Schur-concave, so ``cost_ebits`` is the minimum over all resources.
     """
-    ensemble = Ensemble(tuple(zip(EQUAL_PRIORS_4, family.states())))
-    lam_max = reduced_spectrum(pointer_state(ensemble, bell_states())).entries[0]
+    lam_max = pointer_spectra(_family_batch(family), (0.25,) * 4)[0, 0]
     alpha2 = float(alpha2_max_from_lambda(lam_max))
     total = family.a + family.b + family.c + family.d
     return CostReport(
@@ -224,7 +251,7 @@ def preserve_spectrum(
     spectrum. Any resource able to fund identification without degrading the
     identified state must have a spectrum majorized by this vector.
     """
-    probs = _family_ensemble(family, probs if probs is not None else EQUAL_PRIORS_4, 4)
+    probs = check_family_priors(probs, 4)
     return mix([(p, tensor(s, s)) for p, s in zip(probs, family.spectra())])
 
 

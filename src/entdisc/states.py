@@ -121,6 +121,38 @@ def reduced_spectrum(state: PureState) -> ProbVector:
     return ProbVector(sing**2)
 
 
+def family_matrices(a, b, c, d) -> np.ndarray:
+    """Member coefficient matrices, shape (4, *np.shape(a), 2, 2), elementwise over arrays."""
+    out = np.zeros((4, *np.shape(a), 2, 2))
+    out[0, ..., 0, 0], out[0, ..., 1, 1] = a, b
+    out[1, ..., 0, 0], out[1, ..., 1, 1] = b, -a
+    out[2, ..., 0, 1], out[2, ..., 1, 0] = c, d
+    out[3, ..., 0, 1], out[3, ..., 1, 0] = d, -c
+    return out
+
+
+# The four Bell states are the family at a = b = c = d = 1/sqrt(2).
+BELL_MATRICES = family_matrices(*(1.0 / np.sqrt(2.0),) * 4)
+BELL_MATRICES.setflags(write=False)
+
+
+def check_family_priors(probs, count: int) -> list[float]:
+    """Validate ``count`` priors for family members; None means equal priors."""
+    if probs is None:
+        return [1.0 / count] * count
+    if len(probs) != count:
+        raise ValidationError(f"expected {count} probabilities, got {len(probs)}")
+    return check_probabilities(probs).tolist()
+
+
+def check_which(which) -> tuple[int, ...]:
+    """Validate a three-member subset of the family as distinct indices in 0..3."""
+    which = tuple(int(i) for i in which)
+    if len(which) != 3 or len(set(which)) != 3 or not all(0 <= i < 4 for i in which):
+        raise ValidationError(f"which={which!r} must be three distinct indices in 0..3")
+    return which
+
+
 @dataclass(frozen=True)
 class BellFamily:
     """The four-state family a|00>+b|11>, b|00>-a|11>, c|01>+d|10>, d|01>-c|10>.
@@ -157,13 +189,7 @@ class BellFamily:
 
     def states(self) -> list[PureState]:
         """The four mutually orthogonal family members as 2x2 pure states."""
-        a, b, c, d = self.a, self.b, self.c, self.d
-        return [
-            PureState(np.array([a, 0.0, 0.0, b]), 2, 2),
-            PureState(np.array([b, 0.0, 0.0, -a]), 2, 2),
-            PureState(np.array([0.0, c, d, 0.0]), 2, 2),
-            PureState(np.array([0.0, d, -c, 0.0]), 2, 2),
-        ]
+        return [PureState(m, 2, 2) for m in family_matrices(self.a, self.b, self.c, self.d)]
 
     def spectra(self) -> list[ProbVector]:
         """Reduced spectra of the four members: (a^2, b^2) twice, (c^2, d^2) twice."""
@@ -183,13 +209,7 @@ def bell_states() -> list[PureState]:
     Order matters downstream: pointer constructions pair the i-th ensemble
     member with the i-th state of this list.
     """
-    r = 1.0 / np.sqrt(2.0)
-    return [
-        PureState(np.array([r, 0.0, 0.0, r]), 2, 2),
-        PureState(np.array([r, 0.0, 0.0, -r]), 2, 2),
-        PureState(np.array([0.0, r, r, 0.0]), 2, 2),
-        PureState(np.array([0.0, r, -r, 0.0]), 2, 2),
-    ]
+    return [PureState(m, 2, 2) for m in BELL_MATRICES]
 
 
 @dataclass(frozen=True, eq=False)

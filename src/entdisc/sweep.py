@@ -1,9 +1,9 @@
 """Parameter-grid scans over the family's (a^2, c^2) square, emitted as CSV.
 
-Grid points are independent; the scans below evaluate them as one batched
-numpy computation (stacked small SVDs and the closed-form resource bound)
-that mirrors the per-point operations in :mod:`entdisc.discrimination`
-exactly. Results are kept as numpy columns and read as a sequence of
+Grid points are independent; the scans below evaluate them as one batch
+through the pointer-spectrum kernel of :mod:`entdisc.discrimination` (the
+same code a per-point call runs as a batch of one) and the closed-form
+resource bound. Results are kept as numpy columns and read as a sequence of
 records; rows are emitted in deterministic row-major order (outer loop a^2,
 inner loop c^2), so repeated runs produce byte-identical output.
 """
@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import alpha2_max_from_lambda
+from .discrimination import alpha2_max_from_lambda, pointer_majorized, pointer_spectra
 from .errors import ValidationError
-from .spectra import DEFAULT_TOL, binary_entropy, check_probabilities
-from .states import BellFamily, bell_states
+from .spectra import binary_entropy
+from .states import BellFamily, check_family_priors, check_which, family_matrices
 
 __all__ = [
     "CSV_HEADER",
+    "MAX_GRID_N",
     "SWEEP_MODES",
     "SweepRecord",
     "SweepTable",
@@ -36,6 +37,10 @@ SWEEP_MODES = ("assist", "preserve", "feasible3")
 CSV_HEADER = "a2,c2,avg_ent_ebits,feasible_unassisted,alpha2_max,assist_cost_ebits,preserve_cost_ebits"
 
 DEFAULT_GRID_N = 101
+
+# Largest lattice per axis, since memory grows with grid_n^2; 1001 is the
+# largest grid the performance plan (ROADMAP aim 1) times.
+MAX_GRID_N = 1001
 
 _FIELDS = tuple(CSV_HEADER.split(","))
 
@@ -84,11 +89,7 @@ class SweepTable(Sequence):
 
 def avg_entanglement(family: BellFamily, probs: Sequence[float] | None = None) -> float:
     """Probability-weighted mean entanglement entropy of the four members."""
-    if probs is None:
-        probs = (0.25,) * 4
-    if len(probs) != 4:
-        raise ValidationError(f"expected 4 probabilities, got {len(probs)}")
-    probs = check_probabilities(probs).tolist()
+    probs = check_family_priors(probs, 4)
     h_a = binary_entropy(family.a**2)
     h_c = binary_entropy(family.c**2)
     member_entropy = (h_a, h_a, h_c, h_c)
@@ -103,39 +104,6 @@ def _entropy_terms(values: np.ndarray) -> np.ndarray:
 
 def _binary_entropy_rows(p: np.ndarray) -> np.ndarray:
     return _entropy_terms(p) + _entropy_terms(1.0 - p)
-
-
-def _member_matrices(a2: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Coefficient matrices of the four family members, shape (4, n, 2, 2)."""
-    n = a2.size
-    a, b = np.sqrt(a2), np.sqrt(1.0 - a2)
-    c, d = np.sqrt(c2), np.sqrt(1.0 - c2)
-    psi = np.zeros((4, n, 2, 2))
-    psi[0, :, 0, 0], psi[0, :, 1, 1] = a, b
-    psi[1, :, 0, 0], psi[1, :, 1, 1] = b, -a
-    psi[2, :, 0, 1], psi[2, :, 1, 0] = c, d
-    psi[3, :, 0, 1], psi[3, :, 1, 0] = d, -c
-    return psi
-
-
-def _pointer_spectra(
-    member_mats: Sequence[np.ndarray], probs: Sequence[float], pointer_mats: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Descending reduced spectra of the batched pointer states, shape (n, 4).
-
-    Mirrors ``pointer_state`` + ``reduced_spectrum``: the composite lives on
-    the AC:BD cut with A and C grouped row-major.
-    """
-    n = member_mats[0].shape[0]
-    composite = np.zeros((n, 4, 4))
-    for psi, prob, phi in zip(member_mats, probs, pointer_mats):
-        composite += np.sqrt(prob) * np.einsum("nab,cd->nacbd", psi, phi).reshape(n, 4, 4)
-    singular = np.linalg.svd(composite, compute_uv=False)
-    return singular**2
-
-
-def _majorized_rows(lam_desc: np.ndarray, target_cumsum: np.ndarray, tol: float) -> np.ndarray:
-    return np.all(np.cumsum(lam_desc, axis=1) <= target_cumsum + tol, axis=1)
 
 
 def run_sweep(
@@ -157,25 +125,15 @@ def run_sweep(
     """
     if mode not in SWEEP_MODES:
         raise ValidationError(f"unknown sweep mode {mode!r}; expected one of {SWEEP_MODES}")
-    if grid_n < 2:
-        raise ValidationError(f"grid_n must be at least 2, got {grid_n}")
-    if probs is None:
-        probs = (1 / 3,) * 3 if mode == "feasible3" else (0.25,) * 4
-    expected = 3 if mode == "feasible3" else 4
-    if len(probs) != expected:
-        raise ValidationError(f"mode {mode!r} expects {expected} probabilities, got {len(probs)}")
-    probs = check_probabilities(probs).tolist()
-    which = tuple(int(i) for i in which)
-    if mode == "feasible3" and (
-        len(which) != 3 or len(set(which)) != 3 or not all(0 <= i < 4 for i in which)
-    ):
-        raise ValidationError(f"which={which!r} must be three distinct indices in 0..3")
+    if not 2 <= grid_n <= MAX_GRID_N:
+        raise ValidationError(f"grid_n must be between 2 and {MAX_GRID_N}, got {grid_n}")
+    probs = check_family_priors(probs, 3 if mode == "feasible3" else 4)
+    indices = check_which(which) if mode == "feasible3" else range(4)
 
     axis = np.linspace(0.5, 1.0, grid_n)
     a2, c2 = np.repeat(axis, grid_n), np.tile(axis, grid_n)
     h_a, h_c = _binary_entropy_rows(a2), _binary_entropy_rows(c2)
     member_entropy = (h_a, h_a, h_c, h_c)
-    indices = which if mode == "feasible3" else range(4)
     columns = {
         "a2": a2,
         "c2": c2,
@@ -198,13 +156,12 @@ def run_sweep(
         columns["preserve_cost_ebits"] = np.maximum(sum(_entropy_terms(col) for col in mixed), 0.0)
         return SweepTable(columns)
 
-    pointer_mats = [np.real(ptr.coefficient_matrix()) for ptr in bell_states()]
-    members = _member_matrices(a2, c2)
-    lam = _pointer_spectra([members[i] for i in indices], probs, pointer_mats[: len(probs)])
-    columns["feasible_unassisted"] = _majorized_rows(lam, np.array([0.5, 1.0, 1.0, 1.0]), DEFAULT_TOL)
+    members = family_matrices(np.sqrt(a2), np.sqrt(1.0 - a2), np.sqrt(c2), np.sqrt(1.0 - c2))
+    lam = pointer_spectra([members[i] for i in indices], probs)
+    columns["feasible_unassisted"] = pointer_majorized(lam)
     if mode == "assist":
         if probs != [0.25] * 4:
-            lam = _pointer_spectra(members, (0.25,) * 4, pointer_mats)
+            lam = pointer_spectra(members, (0.25,) * 4)
         columns["alpha2_max"] = alpha2 = alpha2_max_from_lambda(lam[:, 0])
         columns["assist_cost_ebits"] = _binary_entropy_rows(alpha2)
     return SweepTable(columns)

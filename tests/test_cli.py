@@ -198,6 +198,18 @@ class TestEnsembleFile:
         assert probs == [0.4, 0.3, 0.2, 0.1]
         assert len(ensemble.members) == 4
 
+    def test_discriminate_family_file_matches_flags(self, capsys, tmp_path):
+        path = tmp_path / "ens.json"
+        for a2, c2, probs in [(1.0, 1.0, None), (0.8, 0.7, None), (0.95, 1.0, [0.4, 0.3, 0.2, 0.1])]:
+            data = {"family": {"a2": a2, "c2": c2}}
+            flags = ["discriminate", "--a2", str(a2), "--c2", str(c2), "--json"]
+            if probs:
+                data["probs"] = probs
+                flags += ["--probs", ",".join(map(str, probs))]
+            path.write_text(json.dumps(data))
+            from_file = get_json(capsys, "discriminate", "--ensemble", str(path), "--json")
+            assert from_file["feasible_unassisted"] == get_json(capsys, *flags)["feasible_unassisted"]
+
     def test_discriminate_from_states_file(self, capsys, tmp_path):
         # four product states are locally distinguishable
         states = []
@@ -253,6 +265,33 @@ class TestUsage:
         with pytest.raises(SystemExit) as info:
             main(["sweep"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["discriminate", "--a2", "1", "--c2", "1", "--tol", "nan"], "argument --tol: must be a finite number"),
+            (["sweep", "--mode", "assist", "--grid-n", "x"], "argument --grid-n: invalid int value: 'x'"),
+            (["sweep"], "the following arguments are required: --mode"),
+            (["discriminate", "--a2", "1", "--c2", "1", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+        ],
+    )
+    def test_argparse_errors_are_one_line(self, capsys, argv, reason):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == ""
+        assert captured.err.endswith("\n")
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("error: " + reason)
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--help"])
+        captured = capsys.readouterr()
+        assert info.value.code == 0
+        assert captured.out.startswith("usage: entdisc sweep")
+        assert "--grid-n" in captured.out and captured.err == ""
 
 
 NAN_AMPLITUDE_STATES = (
@@ -310,6 +349,44 @@ class TestInputContract:
             with pytest.raises(SystemExit) as info:
                 main(command + [f"--tol={tol}"])
             assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["discriminate", "--a2", "0.8", "--c2", "0.7"],
+            ["three-state", "--a2", "0.8", "--c2", "0.7"],
+            ["convert", "--source", "1,0", "--target", "0.5,0.5"],
+        ],
+    )
+    def test_tol_taken_by_verdict_commands(self, capsys, argv):
+        assert get_json(capsys, *argv, "--tol", "5", "--json") != get_json(capsys, *argv, "--tol", "0", "--json")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["assist-cost", "--a2", "0.8", "--c2", "0.7"],
+            ["preserve-cost", "--a2", "0.8", "--c2", "0.7"],
+            ["bounds", "--a2", "0.8", "--c2", "0.7"],
+        ],
+    )
+    def test_tol_refused_where_it_did_nothing(self, capsys, argv):
+        assert get_json(capsys, *argv, "--json")
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--tol", "5"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err == "error: unrecognized arguments: --tol 5\n"
+
+    def test_grid_n_cap(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "--mode", "assist", "--grid-n", "1002")
+        assert (code, err) == (2, "error: grid_n must be between 2 and 1001, got 1002\n")
+        # 1001 passes the grid check and stops at the priors checked after it
+        self.assert_rejected(capsys, "sweep", "--mode", "assist", "--grid-n", "1001", "--probs", "0.9,0.9,0.9,0.9")
+        code, _, err = run_cli(capsys, "sweep", "--mode", "assist", "--grid-n", "1001", "--probs", "0.9,0.9,0.9,0.9")
+        assert "probabilities sum to" in err
+
+    def test_family_prior_count_in_bounds(self, capsys):
+        # --probs with fewer than four priors used to drop members silently
+        self.assert_rejected(capsys, "bounds", "--a2", "0.8", "--c2", "0.7", "--probs", "0.5,0.5")
 
     def test_tol_zero_accepted(self, capsys):
         result = get_json(capsys, "discriminate", "--a2", "1", "--c2", "1", "--tol", "0", "--json")

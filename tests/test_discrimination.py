@@ -12,6 +12,7 @@ from entdisc import (
     binary_entropy,
     closed_form_lhs,
     conjugation_probe,
+    ensemble_discrimination_feasible,
     entanglement_entropy,
     entropy_bits,
     locc_deterministic_feasible,
@@ -27,6 +28,7 @@ from entdisc import (
     tensor,
     three_state_feasible,
 )
+from entdisc.discrimination import pointer_spectra
 from helpers import alpha2_max_scan, entropy_direct, random_pure_state, rdm_spectrum
 
 
@@ -131,6 +133,47 @@ class TestPerfectDiscrimination:
     def test_rejects_wrong_prob_count(self):
         with pytest.raises(ValidationError):
             perfect_discrimination_feasible(BellFamily.from_squared(0.9, 0.9), probs=[0.5, 0.5])
+
+
+def object_route(ensemble: Ensemble):
+    """Pointer spectrum and verdict through the public per-object functions."""
+    pointers = bell_states()[: len(ensemble.members)]
+    lam = reduced_spectrum(pointer_state(ensemble, pointers))
+    target = mix([(p, reduced_spectrum(ptr)) for p, ptr in zip(ensemble.probs, pointers)])
+    return lam, majorizes(lam, target)
+
+
+class TestEnsembleDiscrimination:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    def test_matches_object_route(self, dims):
+        # the batched kernel against pointer_state + reduced_spectrum + mix
+        # + majorizes, on random complex ensembles of 1-4 members
+        rng = np.random.default_rng(100 + 10 * dims[0] + dims[1])
+        verdicts = set()
+        for trial in range(60):
+            size = 1 + trial % 4
+            states = [random_pure_state(rng, *dims) for _ in range(size)]
+            ensemble = Ensemble(tuple(zip(rng.dirichlet(np.ones(size)).tolist(), states)))
+            lam, expected = object_route(ensemble)
+            members = np.stack([s.coefficient_matrix() for s in states])[:, None]
+            assert np.allclose(pointer_spectra(members, ensemble.probs)[0], lam.entries, rtol=0.0, atol=1e-12)
+            assert ensemble_discrimination_feasible(ensemble) == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    def test_family_ensemble_matches_family_call(self):
+        rng = np.random.default_rng(81)
+        for a2, c2 in [(1.0, 1.0), (0.5, 0.5), (0.8, 0.7), (0.99, 1.0), (1.0, 0.98)]:
+            family = BellFamily.from_squared(a2, c2)
+            for probs in (None, rng.dirichlet(np.ones(4)).tolist()):
+                ensemble = Ensemble(tuple(zip(probs or [0.25] * 4, family.states())))
+                assert ensemble_discrimination_feasible(ensemble) == perfect_discrimination_feasible(family, probs)
+                assert ensemble_discrimination_feasible(ensemble) == object_route(ensemble)[1]
+
+    def test_rejects_more_than_four_members(self):
+        states = [random_pure_state(np.random.default_rng(k), 2, 3) for k in range(5)]
+        with pytest.raises(ValidationError, match="at most 4"):
+            ensemble_discrimination_feasible(Ensemble.equal_priors(states))
 
 
 class TestClosedForm:

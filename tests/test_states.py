@@ -124,6 +124,23 @@ class TestBellFamily:
         for got, want in zip(family, expected):
             assert np.allclose(got.amplitudes, want)
 
+    @pytest.mark.parametrize("a2, c2", [(0.5, 0.5), (0.8, 0.7), (1.0, 0.6), (0.93, 1.0), (1.0, 1.0)])
+    def test_amplitudes_equal_literal_lists(self, a2, c2):
+        # the shared coefficient matrices give, bit for bit, the amplitudes
+        # the members and Bell states were once written out as
+        fam = BellFamily.from_squared(a2, c2)
+        a, b, c, d = fam.a, fam.b, fam.c, fam.d
+        r = 1.0 / np.sqrt(2.0)
+        literal = {
+            "family": [[a, 0.0, 0.0, b], [b, 0.0, 0.0, -a], [0.0, c, d, 0.0], [0.0, d, -c, 0.0]],
+            "bell": [[r, 0.0, 0.0, r], [r, 0.0, 0.0, -r], [0.0, r, r, 0.0], [0.0, r, -r, 0.0]],
+        }
+        for key, states in (("family", fam.states()), ("bell", bell_states())):
+            assert len(states) == 4
+            for got, want in zip(states, literal[key]):
+                assert (got.dim_a, got.dim_b) == (2, 2)
+                assert got.amplitudes.tobytes() == np.array(want, dtype=complex).tobytes()
+
     def test_pairwise_orthogonality(self):
         for a2, c2 in [(0.5, 0.5), (0.7, 0.9), (1.0, 0.6), (0.93, 1.0)]:
             family = bell_family(a2, c2)

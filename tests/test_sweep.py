@@ -19,6 +19,7 @@ from entdisc import (
     three_state_feasible,
     write_csv,
 )
+from entdisc.sweep import MAX_GRID_N
 
 
 def inverse_binary_entropy_upper(target: float) -> float:
@@ -62,6 +63,15 @@ class TestRunSweep:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValidationError):
             run_sweep("preserve", 1)
+
+    def test_grid_cap(self):
+        # 1002 is refused before any allocation; 1001 passes the grid check
+        # and fails only on the invalid priors checked after it
+        assert MAX_GRID_N == 1001
+        with pytest.raises(ValidationError, match="grid_n must be between 2 and 1001, got 1002"):
+            run_sweep("assist", MAX_GRID_N + 1)
+        with pytest.raises(ValidationError, match="probabilities sum to"):
+            run_sweep("assist", MAX_GRID_N, probs=[0.9] * 4)
 
     def test_rejects_wrong_prob_count(self):
         with pytest.raises(ValidationError):
@@ -197,6 +207,23 @@ class TestRunSweep:
             )
             assert feas3[k].feasible_unassisted == three_state_feasible(family)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_equal_per_point_calls_exactly(self, seed):
+        # per-point calls are batches of one through the sweep's kernel, so
+        # at every lattice point they give the same verdicts and the same
+        # alpha2_max bit for bit, for any priors and subset
+        rng = np.random.default_rng(seed)
+        probs4 = None if seed == 0 else rng.dirichlet(np.ones(4)).tolist()
+        probs3 = None if seed == 0 else rng.dirichlet(np.ones(3)).tolist()
+        which = tuple(int(i) for i in rng.permutation(4)[:3])
+        assist = run_sweep("assist", 21, probs=probs4)
+        feas3 = run_sweep("feasible3", 21, probs=probs3, which=which)
+        for row, row3 in zip(assist, feas3):
+            family = BellFamily.from_squared(row.a2, row.c2)
+            assert row.feasible_unassisted == perfect_discrimination_feasible(family, probs4)
+            assert row.alpha2_max.hex() == assisted_alpha2_max(family).alpha2_max.hex()
+            assert row3.feasible_unassisted == three_state_feasible(family, which, probs3)
+
     def test_preserve_costs_nonnegative_for_rounded_priors(self):
         # priors summing to 1 only within rounding used to give -1e-16 at (1, 1)
         rng = np.random.default_rng(48)
@@ -256,7 +283,9 @@ class TestCsv:
         assert float(row[6]) == pytest.approx(records[1].preserve_cost_ebits, rel=1e-11)
 
     # SHA-256 of the CSV text as emitted before the sweep kept its results
-    # as columns; preserve and feasible3 output must not change by a byte.
+    # as columns (preserve, feasible3) and before the sweep and the per-point
+    # calls shared one pointer-spectrum kernel (assist); the output must not
+    # change by a byte.
     @pytest.mark.parametrize(
         "mode, grid_n, probs, which, digest",
         [
@@ -268,6 +297,10 @@ class TestCsv:
             ("feasible3", 21, [0.5, 0.3, 0.2], (3, 0, 2), "554882d81b14870443e3427cea0fdda87dc5eae1d3310865dee2bd729d2541a4"),
             ("feasible3", 101, None, (0, 1, 2), "7223d5cb994ebd3fc7ef59fadeb888590af777fb98d4d22e7cb08ac157087d31"),
             ("feasible3", 101, [0.5, 0.3, 0.2], (3, 0, 2), "988f2b9a7edca8c80b31a663ccf8793330b51000cf0582674a4dec7d883cb992"),
+            ("assist", 21, None, (0, 1, 2), "3984bc099e4eb7871fa8692c72bed8bbf647f261eb703b685dc2c0bcc740cbe0"),
+            ("assist", 21, [0.4, 0.3, 0.2, 0.1], (0, 1, 2), "3a6a0c642e7e7b814ff611ecdb7bd09258493e98155d19ed3b58e4649e897402"),
+            ("assist", 101, None, (0, 1, 2), "30fe56c52800ebf402fe1df99cec2577ac5b1590539dc8149879d36e3b0fad42"),
+            ("assist", 101, [0.4, 0.3, 0.2, 0.1], (0, 1, 2), "1dade4c07189981c3d93fc7cd08716690bd7412b961d7a4574f984ef41dfd798"),
         ],
     )
     def test_pinned_digest(self, mode, grid_n, probs, which, digest):
