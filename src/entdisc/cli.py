@@ -28,7 +28,7 @@ from .discrimination import (
 from .errors import ValidationError
 from .spectra import DEFAULT_TOL, ProbVector
 from .states import BellFamily, Ensemble, PureState, check_family_priors, distinguishability_bound
-from .sweep import MAX_GRID_N, SWEEP_MODES, records_to_csv, run_sweep, write_csv
+from .sweep import MAX_GRID_N, SWEEP_MODES, run_sweep, write_csv
 
 # File-level normalization slack: looser than the in-memory tolerance, so
 # hand-edited ensembles load (renormalized, with a warning).
@@ -87,15 +87,19 @@ def load_ensemble_file(path: str) -> tuple[Ensemble, BellFamily | None, list[flo
         entry = data["family"]
         if not isinstance(entry, dict) or "a2" not in entry or "c2" not in entry:
             raise ValidationError("'family' must be an object with keys 'a2' and 'c2'")
-        family = BellFamily.from_squared(float(entry["a2"]), float(entry["c2"]))
+        try:
+            a2, c2 = float(entry["a2"]), float(entry["c2"])
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"'family' values must be numbers: {exc}") from None
+        family = BellFamily.from_squared(a2, c2)
         probs = check_family_priors(data.get("probs"), 4)
         return Ensemble(tuple(zip(probs, family.states()))), family, probs
 
     raw_states = data["states"]
     if "probs" not in data:
         raise ValidationError("'states' ensembles require an explicit 'probs' list")
-    probs = [float(p) for p in data["probs"]]
-    if not isinstance(raw_states, list) or len(raw_states) != len(probs):
+    probs = data["probs"]
+    if not (isinstance(raw_states, list) and isinstance(probs, list) and len(raw_states) == len(probs)):
         raise ValidationError("'states' and 'probs' must be lists of equal length")
     states = []
     for idx, entry in enumerate(raw_states):
@@ -113,7 +117,8 @@ def load_ensemble_file(path: str) -> tuple[Ensemble, BellFamily | None, list[flo
         if abs(norm - 1.0) > DEFAULT_TOL:
             warnings.warn(f"state {idx} renormalized on load (norm was {norm!r})", stacklevel=2)
         states.append(PureState(amps / norm, dim_a, dim_b))
-    return Ensemble(tuple(zip(probs, states))), None, probs
+    ensemble = Ensemble(tuple(zip(probs, states)))
+    return ensemble, None, ensemble.probs
 
 
 def _fmt_value(value) -> str:
@@ -233,18 +238,28 @@ def _cmd_sweep(args) -> int:
     probs = _parse_list(args.probs, "--probs") if args.probs else None
     which = _parse_list(args.which, "--which", int)
     records = run_sweep(args.mode, grid_n=args.grid_n, probs=probs, which=which)
-    if args.out:
-        write_csv(records, args.out)
-    else:
-        sys.stdout.write(records_to_csv(records))
+    try:
+        write_csv(records, args.out or sys.stdout)
+    except OSError as exc:
+        raise ValidationError(f"cannot write CSV: {exc}")
     return 0
+
+
+# Every character str.splitlines() breaks at, mapped to its escape: messages
+# can quote raw input (argparse's "unrecognized arguments" does), and a
+# reason must stay on one line.
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+def _error_line(message: str) -> str:
+    return f"error: {message.translate(_LINE_BREAKS)}\n"
 
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one line, ``error: <message>``, and exits 2."""
 
     def error(self, message):
-        self.exit(2, f"error: {message}\n")
+        self.exit(2, _error_line(message))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,7 +352,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(_error_line(str(exc)))
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -114,11 +114,15 @@ def pointer_spectra(member_mats: np.ndarray, probs: Sequence[float]) -> np.ndarr
     exactly as ``pointer_state`` builds one problem.
     """
     n, dim_a, dim_b = member_mats[0].shape
-    shape = (n, 2 * dim_a, 2 * dim_b)
-    composite = np.zeros(shape, dtype=np.result_type(member_mats[0], float))
+    # Axes (n, a, c, b, d): the AC and BD index pairs are adjacent, so the
+    # final reshape to (n, 2 dim_a, 2 dim_b) is a view.
+    composite = np.zeros((n, dim_a, 2, dim_b, 2), dtype=np.result_type(member_mats[0], float))
+    term = np.empty_like(composite)
     for psi, prob, phi in zip(member_mats, probs, BELL_MATRICES):
-        composite += np.sqrt(prob) * np.einsum("nab,cd->nacbd", psi, phi).reshape(shape)
-    return np.linalg.svd(composite, compute_uv=False) ** 2
+        np.multiply(psi[:, :, None, :, None], phi[None, None, :, None, :], out=term)
+        term *= np.sqrt(prob)
+        composite += term
+    return np.linalg.svd(composite.reshape(n, 2 * dim_a, 2 * dim_b), compute_uv=False) ** 2
 
 
 def pointer_majorized(lam: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

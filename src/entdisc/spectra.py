@@ -39,22 +39,29 @@ NEG_ENTRY_TOL = 1e-9
 def check_probabilities(values) -> np.ndarray:
     """Validate probabilities given in any order; returns them as a float array.
 
-    Entries must be finite and at least -NEG_ENTRY_TOL, and must sum to 1
-    within DEFAULT_TOL; negatives inside the tolerance are clamped to zero.
-    A NaN or infinite entry makes the sum non-finite, which is rejected.
+    Entries must be finite numbers, at least -NEG_ENTRY_TOL, and must sum to
+    1 within DEFAULT_TOL; negatives inside the tolerance are clamped to zero.
     """
-    arr = np.asarray(values, dtype=float).ravel()
+    try:
+        arr = np.asarray(values, dtype=float).ravel()
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"probabilities must be numbers: {exc}") from None
     if arr.size == 0:
         raise ValidationError("need at least one probability")
-    total = float(arr.sum())
-    if not math.isfinite(total):
+    entries = arr.tolist()
+    if not all(map(math.isfinite, entries)):
         raise ValidationError("probabilities must be finite")
-    low = arr.min()
+    low, high = min(entries), max(entries)
     if low < 0.0:
         if low < -NEG_ENTRY_TOL:
             raise ValidationError(f"probability {low:.3e} is negative beyond tolerance {NEG_ENTRY_TOL:.0e}")
         arr = np.clip(arr, 0.0, None)
-        total = float(arr.sum())
+    # The entries are now nonnegative, so the sum is at least the largest:
+    # this rejects only what the sum check would, before huge entries can
+    # overflow the sum.
+    if high > 1.0 + DEFAULT_TOL:
+        raise ValidationError(f"probability {high!r} exceeds 1 beyond tolerance {DEFAULT_TOL:.0e}")
+    total = float(arr.sum())
     if not abs(total - 1.0) <= DEFAULT_TOL:
         raise ValidationError(f"probabilities sum to {total!r}, expected 1 within {DEFAULT_TOL:.0e}")
     return arr

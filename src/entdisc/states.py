@@ -140,8 +140,12 @@ def check_family_priors(probs, count: int) -> list[float]:
     """Validate ``count`` priors for family members; None means equal priors."""
     if probs is None:
         return [1.0 / count] * count
-    if len(probs) != count:
-        raise ValidationError(f"expected {count} probabilities, got {len(probs)}")
+    try:
+        given = len(probs)
+    except TypeError:
+        raise ValidationError(f"expected a list of {count} probabilities, got {probs!r}") from None
+    if given != count:
+        raise ValidationError(f"expected {count} probabilities, got {given}")
     return check_probabilities(probs).tolist()
 
 

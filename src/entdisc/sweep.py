@@ -10,6 +10,7 @@ inner loop c^2), so repeated runs produce byte-identical output.
 
 from __future__ import annotations
 
+import contextlib
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -47,6 +48,14 @@ _FIELDS = tuple(CSV_HEADER.split(","))
 # Rows formatted per step of records_to_csv: bounds the Python objects alive
 # at once, whatever the grid size.
 CSV_CHUNK_ROWS = 4096
+
+# Characters handed to one write call by write_csv: a text file object
+# encodes each write whole, so one call with the whole CSV would hold a
+# second, encoded copy of it.
+WRITE_SLICE_CHARS = 1 << 20
+
+# Lattice coordinates: few distinct values per chunk, formatted once each.
+_AXES = ("a2", "c2")
 
 
 @dataclass(frozen=True)
@@ -131,31 +140,36 @@ def run_sweep(
     indices = check_which(which) if mode == "feasible3" else range(4)
 
     axis = np.linspace(0.5, 1.0, grid_n)
-    a2, c2 = np.repeat(axis, grid_n), np.tile(axis, grid_n)
-    h_a, h_c = _binary_entropy_rows(a2), _binary_entropy_rows(c2)
-    member_entropy = (h_a, h_a, h_c, h_c)
+    # Per-axis values as a column (a^2 varies down the rows) and a row (c^2
+    # across them): an operation between the two broadcasts to the lattice in
+    # row-major order and yields, point by point, what the same elementwise
+    # operations give on the full-length a2 and c2 columns.
+    rows, cols = axis[:, None], axis[None, :]
+    h_rows, h_cols = _binary_entropy_rows(rows), _binary_entropy_rows(cols)
+    member_entropy = (h_rows, h_rows, h_cols, h_cols)
     columns = {
-        "a2": a2,
-        "c2": c2,
-        "avg_ent_ebits": sum(p * member_entropy[i] for p, i in zip(probs, indices)),
+        "a2": np.repeat(axis, grid_n),
+        "c2": np.tile(axis, grid_n),
+        "avg_ent_ebits": sum(p * member_entropy[i] for p, i in zip(probs, indices)).ravel(),
     }
 
     if mode == "preserve":
         # Each member's self-tensored spectrum is already sorted, so the
-        # mixture is the component-wise weighted sum (x^2, xy, xy, y^2).
+        # mixture is the component-wise weighted sum (x^2, xy, xy, y^2),
+        # whose two equal cross terms are computed once.
         w_a, w_c = probs[0] + probs[1], probs[2] + probs[3]
-        b2, d2 = 1.0 - a2, 1.0 - c2
-        mixed = [
-            w_a * a2**2 + w_c * c2**2,
-            w_a * a2 * b2 + w_c * c2 * d2,
-            w_a * a2 * b2 + w_c * c2 * d2,
-            w_a * b2**2 + w_c * d2**2,
-        ]
+        b2, d2 = 1.0 - rows, 1.0 - cols
+        cross = _entropy_terms(w_a * rows * b2 + w_c * cols * d2)
+        cost = _entropy_terms(w_a * rows**2 + w_c * cols**2)
+        cost += cross
+        cost += cross
+        cost += _entropy_terms(w_a * b2**2 + w_c * d2**2)
         # Clamped at 0 like entropy_bits: priors summing to 1 only within
         # rounding can leave a -1e-16 cost at the product corner.
-        columns["preserve_cost_ebits"] = np.maximum(sum(_entropy_terms(col) for col in mixed), 0.0)
+        columns["preserve_cost_ebits"] = np.maximum(cost, 0.0, out=cost).ravel()
         return SweepTable(columns)
 
+    a2, c2 = columns["a2"], columns["c2"]
     members = family_matrices(np.sqrt(a2), np.sqrt(1.0 - a2), np.sqrt(c2), np.sqrt(1.0 - c2))
     lam = pointer_spectra([members[i] for i in indices], probs)
     columns["feasible_unassisted"] = pointer_majorized(lam)
@@ -167,12 +181,26 @@ def run_sweep(
     return SweepTable(columns)
 
 
+def _axis_cells(chunk: np.ndarray) -> list[str]:
+    """A float chunk as %.12g text, each distinct value formatted once.
+
+    Values are told apart by their bits, so 0.0 and -0.0 keep their own
+    text; no order of the chunk is assumed.
+    """
+    _, first, inverse = np.unique(
+        chunk.view(f"u{chunk.itemsize}"), return_index=True, return_inverse=True
+    )
+    labels = np.array(["%.12g" % v for v in chunk[first].tolist()], dtype=object)
+    return labels[inverse].tolist()
+
+
 def _csv_chunks(columns: dict[str, np.ndarray], size: int) -> Iterator[str]:
     """CSV rows, CSV_CHUNK_ROWS at a time, each formatted by one %-pattern.
 
-    Float columns print with %.12g (the same text as format(v, ".12g")),
-    boolean columns as true/false, absent columns as empty fields, and
-    object columns (already formatted strings) as they are.
+    Float columns print with %.12g (the same text as format(v, ".12g")), the
+    a2 and c2 columns once per distinct value in a chunk, boolean columns as
+    true/false, absent columns as empty fields, and object columns (already
+    formatted strings) as they are.
     """
     patterns, cells = [], []
     for name in _FIELDS:
@@ -180,11 +208,15 @@ def _csv_chunks(columns: dict[str, np.ndarray], size: int) -> Iterator[str]:
         if column is None:
             patterns.append("")
             continue
-        patterns.append("%s" if column.dtype.kind in "bO" else "%.12g")
-        cells.append(np.where(column, "true", "false") if column.dtype.kind == "b" else column)
+        text = column.dtype.kind in "bO"
+        axis = name in _AXES and not text
+        patterns.append("%s" if text or axis else "%.12g")
+        if column.dtype.kind == "b":
+            column = np.where(column, "true", "false")
+        cells.append((column, _axis_cells if axis else np.ndarray.tolist))
     row = ",".join(patterns) + "\n"
     for start in range(0, size, CSV_CHUNK_ROWS):
-        chunk = zip(*(column[start : start + CSV_CHUNK_ROWS].tolist() for column in cells))
+        chunk = zip(*(to_cells(column[start : start + CSV_CHUNK_ROWS]) for column, to_cells in cells))
         yield "".join([row % values for values in chunk])
 
 
@@ -210,10 +242,15 @@ def records_to_csv(records: Sequence[SweepRecord]) -> str:
 
 
 def write_csv(records: Sequence[SweepRecord], destination) -> None:
-    """Write the CSV rendering to a path or text file object (UTF-8, LF)."""
+    """Write the CSV rendering to a path or text file object (UTF-8, LF).
+
+    The text goes out in WRITE_SLICE_CHARS slices, one write call each.
+    """
     text = records_to_csv(records)
     if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
-        with open(destination, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        sink = open(destination, "w", encoding="utf-8", newline="")
     else:
-        destination.write(text)
+        sink = contextlib.nullcontext(destination)
+    with sink as handle:
+        for start in range(0, len(text), WRITE_SLICE_CHARS):
+            handle.write(text[start : start + WRITE_SLICE_CHARS])

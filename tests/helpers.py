@@ -3,7 +3,8 @@
 The oracles deliberately avoid the library's own code paths: spectra come
 from a dense eigensolve of the reduced density matrix (the package uses SVD),
 entropies from a plain Python loop, and the resource boundary from a brute
-grid scan (the package uses the closed form).
+grid scan (the package uses the closed form). ``RecordingWriter`` stands in
+for a text file to show how output reaches it.
 """
 
 import math
@@ -72,3 +73,13 @@ def alpha2_max_scan(lam: np.ndarray, step: float = 1e-4) -> float:
         if np.all(np.cumsum(cand) <= target_cumsum + 1e-12):
             return float(alpha2)
     return float("nan")
+
+
+class RecordingWriter:
+    """A text sink that keeps every string passed to ``write``."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)

@@ -8,6 +8,8 @@ import pytest
 import entdisc
 from entdisc import records_to_csv, run_sweep
 from entdisc.cli import load_ensemble_file, main
+from entdisc.sweep import WRITE_SLICE_CHARS
+from helpers import RecordingWriter
 
 
 def run_cli(capsys, *argv):
@@ -273,6 +275,7 @@ class TestUsage:
             (["sweep", "--mode", "assist", "--grid-n", "x"], "argument --grid-n: invalid int value: 'x'"),
             (["sweep"], "the following arguments are required: --mode"),
             (["discriminate", "--a2", "1", "--c2", "1", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+            (["convert", "--source", "1", "--target", "1", "a\nb\x0bc"], "unrecognized arguments: a\\nb\\x0bc"),
         ],
     )
     def test_argparse_errors_are_one_line(self, capsys, argv, reason):
@@ -298,6 +301,7 @@ NAN_AMPLITUDE_STATES = (
     '{"states": [{"amplitudes": [[NaN, 0], [0, 0], [0, 0], [1, 0]], "dim_a": 2, "dim_b": 2},'
     ' {"amplitudes": [[0, 0], [1, 0], [0, 0], [0, 0]], "dim_a": 2, "dim_b": 2}], "probs": [0.5, 0.5]}'
 )
+ONE_STATE = '{"amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]], "dim_a": 2, "dim_b": 2}'
 
 
 class TestInputContract:
@@ -388,12 +392,59 @@ class TestInputContract:
         # --probs with fewer than four priors used to drop members silently
         self.assert_rejected(capsys, "bounds", "--a2", "0.8", "--c2", "0.7", "--probs", "0.5,0.5")
 
+    @pytest.mark.parametrize(
+        "argv, file_text",
+        [
+            (["discriminate"], '{"family": {"a2": 0.8, "c2": 0.7}, "probs": ["x", 0.5, 0.25, 0.25]}'),
+            (["discriminate"], '{"family": {"a2": "x", "c2": 0.7}}'),
+            (["discriminate"], '{"family": {"a2": [1], "c2": 0.7}}'),
+            (["bounds"], '{"family": {"a2": 0.8, "c2": 0.7}, "probs": 1}'),
+            (["discriminate"], '{"states": [%s], "probs": ["x"]}' % ONE_STATE),
+            (["bounds"], '{"states": [%s], "probs": 1}' % ONE_STATE),
+            (["preserve-cost", "--a2", "0.7", "--c2", "0.7", "--probs", "1e308,1e308,-1e308,-1e308"], None),
+            (["preserve-cost", "--a2", "0.7", "--c2", "0.7", "--probs", "1e308,1e308,0,0"], None),
+            (["sweep", "--mode", "preserve", "--grid-n", "3", "--probs", "1e308,1e308,-1e308,-1e308"], None),
+        ],
+    )
+    def test_malformed_values_exit_2(self, capsys, tmp_path, argv, file_text):
+        # non-numeric and non-list file values used to exit 1, and finite
+        # priors whose sum overflows printed a numpy warning and called
+        # themselves non-finite
+        if file_text is not None:
+            path = tmp_path / "ens.json"
+            path.write_text(file_text)
+            argv = argv + ["--ensemble", str(path)]
+        self.assert_rejected(capsys, *argv)
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        # an --out that cannot be opened used to exit 1 with a traceback name
+        self.assert_rejected(capsys, "sweep", "--mode", "preserve", "--grid-n", "3", "--out", str(tmp_path))
+        self.assert_rejected(capsys, "sweep", "--mode", "preserve", "--grid-n", "3", "--out", str(tmp_path / "no" / "x.csv"))
+
     def test_tol_zero_accepted(self, capsys):
         result = get_json(capsys, "discriminate", "--a2", "1", "--c2", "1", "--tol", "0", "--json")
         assert result["feasible_unassisted"] is True
 
 
 class TestSweepCallChain:
+    def test_stdout_goes_through_write_csv(self, monkeypatch):
+        # without --out the CSV takes write_csv's sliced path to standard output
+        destinations = []
+
+        def spy(records, destination, _original=entdisc.cli.write_csv):
+            destinations.append(destination)
+            _original(records, destination)
+
+        sink = RecordingWriter()
+        monkeypatch.setattr(entdisc.cli, "write_csv", spy)
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(["sweep", "--mode", "preserve", "--grid-n", "151"]) == 0
+        monkeypatch.undo()
+        assert destinations == [sink]
+        assert len(sink.writes) == 2
+        assert max(len(chunk) for chunk in sink.writes) <= WRITE_SLICE_CHARS
+        assert "".join(sink.writes) == records_to_csv(run_sweep("preserve", 151))
+
     def test_out_calls_each_stage_once(self, tmp_path, monkeypatch):
         # the sweep command runs run_sweep -> write_csv -> records_to_csv,
         # each once; a tracer that wraps these public names (rebinding them

@@ -19,7 +19,8 @@ from entdisc import (
     three_state_feasible,
     write_csv,
 )
-from entdisc.sweep import MAX_GRID_N
+from entdisc.sweep import MAX_GRID_N, WRITE_SLICE_CHARS
+from helpers import RecordingWriter
 
 
 def inverse_binary_entropy_upper(target: float) -> float:
@@ -307,6 +308,19 @@ class TestCsv:
         text = records_to_csv(run_sweep(mode, grid_n, probs=probs, which=which))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "mode, probs",
+        [("assist", [0.4, 0.3, 0.2, 0.1]), ("preserve", [0.1, 0.2, 0.3, 0.4]), ("feasible3", [0.5, 0.3, 0.2])],
+    )
+    @pytest.mark.parametrize(
+        "rows", [slice(2, 7), slice(None, None, -7), slice(5, 9000, 13), slice(None, None, -1)]
+    )
+    def test_slices_format_like_record_lists(self, mode, probs, rows):
+        # the columnar formatter takes slices in any order and stride, across
+        # chunk boundaries, and prints what record-by-record formatting does
+        table = run_sweep(mode, 101, probs=probs, which=(3, 0, 2))[rows]
+        assert records_to_csv(table) == records_to_csv(list(table))
+
     def test_arbitrary_record_lists(self):
         # lists of records, including mixed modes, render as the per-field
         # formatting always did
@@ -336,3 +350,18 @@ class TestCsv:
         buffer = io.StringIO()
         write_csv(records, buffer)
         assert buffer.getvalue() == records_to_csv(records)
+
+    def test_write_csv_in_bounded_slices(self, tmp_path):
+        # the 1.26 MB grid-151 CSV reaches a file object and a path in
+        # slices, never as one whole-text write
+        records = run_sweep("preserve", 151)
+        text = records_to_csv(records)
+        assert len(text) > WRITE_SLICE_CHARS
+        sink = RecordingWriter()
+        write_csv(records, sink)
+        assert len(sink.writes) == -(-len(text) // WRITE_SLICE_CHARS)
+        assert max(len(chunk) for chunk in sink.writes) <= WRITE_SLICE_CHARS
+        assert "".join(sink.writes) == text
+        target = tmp_path / "out.csv"
+        write_csv(records, target)
+        assert target.read_bytes() == text.encode("utf-8")
