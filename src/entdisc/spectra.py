@@ -43,9 +43,11 @@ def check_probabilities(values) -> np.ndarray:
     1 within DEFAULT_TOL; negatives inside the tolerance are clamped to zero.
     """
     try:
-        arr = np.asarray(values, dtype=float).ravel()
+        arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"probabilities must be numbers: {exc}") from None
+    if arr.ndim != 1:
+        raise ValidationError("probabilities must be a flat list of numbers")
     if arr.size == 0:
         raise ValidationError("need at least one probability")
     entries = arr.tolist()

@@ -54,9 +54,6 @@ CSV_CHUNK_ROWS = 4096
 # second, encoded copy of it.
 WRITE_SLICE_CHARS = 1 << 20
 
-# Lattice coordinates: few distinct values per chunk, formatted once each.
-_AXES = ("a2", "c2")
-
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -181,26 +178,12 @@ def run_sweep(
     return SweepTable(columns)
 
 
-def _axis_cells(chunk: np.ndarray) -> list[str]:
-    """A float chunk as %.12g text, each distinct value formatted once.
-
-    Values are told apart by their bits, so 0.0 and -0.0 keep their own
-    text; no order of the chunk is assumed.
-    """
-    _, first, inverse = np.unique(
-        chunk.view(f"u{chunk.itemsize}"), return_index=True, return_inverse=True
-    )
-    labels = np.array(["%.12g" % v for v in chunk[first].tolist()], dtype=object)
-    return labels[inverse].tolist()
-
-
 def _csv_chunks(columns: dict[str, np.ndarray], size: int) -> Iterator[str]:
     """CSV rows, CSV_CHUNK_ROWS at a time, each formatted by one %-pattern.
 
-    Float columns print with %.12g (the same text as format(v, ".12g")), the
-    a2 and c2 columns once per distinct value in a chunk, boolean columns as
-    true/false, absent columns as empty fields, and object columns (already
-    formatted strings) as they are.
+    Float columns print with %.12g (the same text as format(v, ".12g")),
+    boolean columns as true/false, absent columns as empty fields, and
+    object columns (already formatted strings) as they are.
     """
     patterns, cells = [], []
     for name in _FIELDS:
@@ -208,15 +191,11 @@ def _csv_chunks(columns: dict[str, np.ndarray], size: int) -> Iterator[str]:
         if column is None:
             patterns.append("")
             continue
-        text = column.dtype.kind in "bO"
-        axis = name in _AXES and not text
-        patterns.append("%s" if text or axis else "%.12g")
-        if column.dtype.kind == "b":
-            column = np.where(column, "true", "false")
-        cells.append((column, _axis_cells if axis else np.ndarray.tolist))
+        patterns.append("%s" if column.dtype.kind in "bO" else "%.12g")
+        cells.append(np.where(column, "true", "false") if column.dtype.kind == "b" else column)
     row = ",".join(patterns) + "\n"
     for start in range(0, size, CSV_CHUNK_ROWS):
-        chunk = zip(*(to_cells(column[start : start + CSV_CHUNK_ROWS]) for column, to_cells in cells))
+        chunk = zip(*(column[start : start + CSV_CHUNK_ROWS].tolist() for column in cells))
         yield "".join([row % values for values in chunk])
 
 

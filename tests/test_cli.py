@@ -401,15 +401,19 @@ class TestInputContract:
             (["bounds"], '{"family": {"a2": 0.8, "c2": 0.7}, "probs": 1}'),
             (["discriminate"], '{"states": [%s], "probs": ["x"]}' % ONE_STATE),
             (["bounds"], '{"states": [%s], "probs": 1}' % ONE_STATE),
+            (["discriminate"], '{"states": [%s, %s], "probs": [[0.25, 0.25], [0.25, 0.25]]}' % (ONE_STATE, ONE_STATE)),
+            (["bounds"], '{"family": {"a2": 0.8, "c2": 0.7}, "probs": "1.00"}'),
+            (["discriminate"], '{"family": {"a2": 0.8, "c2": 0.7}, "probs": [[0.25], [0.25], [0.25], [0.25]]}'),
             (["preserve-cost", "--a2", "0.7", "--c2", "0.7", "--probs", "1e308,1e308,-1e308,-1e308"], None),
             (["preserve-cost", "--a2", "0.7", "--c2", "0.7", "--probs", "1e308,1e308,0,0"], None),
             (["sweep", "--mode", "preserve", "--grid-n", "3", "--probs", "1e308,1e308,-1e308,-1e308"], None),
         ],
     )
     def test_malformed_values_exit_2(self, capsys, tmp_path, argv, file_text):
-        # non-numeric and non-list file values used to exit 1, and finite
-        # priors whose sum overflows printed a numpy warning and called
-        # themselves non-finite
+        # non-numeric and non-list file values used to exit 1, nested or
+        # string priors were flattened into a prior list of another length,
+        # and finite priors whose sum overflows printed a numpy warning and
+        # called themselves non-finite
         if file_text is not None:
             path = tmp_path / "ens.json"
             path.write_text(file_text)
