@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .discrimination import (
 from .errors import ValidationError
 from .spectra import DEFAULT_TOL, ProbVector
 from .states import BellFamily, Ensemble, PureState, check_family_priors, distinguishability_bound
-from .sweep import MAX_GRID_N, SWEEP_MODES, run_sweep, write_csv
+from .sweep import DEFAULT_GRID_N, MAX_GRID_N, SWEEP_MODES, format_value, run_sweep, write_csv
 
 # File-level normalization slack: looser than the in-memory tolerance, so
 # hand-edited ensembles load (renormalized, with a warning).
@@ -63,13 +64,13 @@ def _parse_target(text: str) -> tuple[float, ProbVector]:
     return 1.0, ProbVector(_parse_list(text, "--target"))
 
 
-def load_ensemble_file(path: str) -> tuple[Ensemble, BellFamily | None, list[float]]:
+def load_ensemble_file(path: str) -> Ensemble:
     """Read an ensemble description from JSON.
 
     Accepts either {"family": {"a2": ..., "c2": ...}, "probs": [...]} or
     {"states": [{"amplitudes": [[re, im], ...], "dim_a": ..., "dim_b": ...}],
-    "probs": [...]}. Returns the ensemble, the family when one was given,
-    and the prior probabilities.
+    "probs": [...]}. States off unit norm within FILE_NORM_TOL are
+    renormalized, with one warning each once the whole file has validated.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -91,9 +92,8 @@ def load_ensemble_file(path: str) -> tuple[Ensemble, BellFamily | None, list[flo
             a2, c2 = float(entry["a2"]), float(entry["c2"])
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"'family' values must be numbers: {exc}") from None
-        family = BellFamily.from_squared(a2, c2)
         probs = check_family_priors(data.get("probs"), 4)
-        return Ensemble(tuple(zip(probs, family.states()))), family, probs
+        return Ensemble(tuple(zip(probs, BellFamily.from_squared(a2, c2).states())))
 
     raw_states = data["states"]
     if "probs" not in data:
@@ -101,10 +101,10 @@ def load_ensemble_file(path: str) -> tuple[Ensemble, BellFamily | None, list[flo
     probs = data["probs"]
     if not (isinstance(raw_states, list) and isinstance(probs, list) and len(raw_states) == len(probs)):
         raise ValidationError("'states' and 'probs' must be lists of equal length")
-    states = []
+    states, renormalized = [], []
     for idx, entry in enumerate(raw_states):
         try:
-            dim_a, dim_b = int(entry["dim_a"]), int(entry["dim_b"])
+            dims = entry["dim_a"], entry["dim_b"]
             amps = np.array(
                 [complex(*pair) if isinstance(pair, (list, tuple)) else complex(pair)
                  for pair in entry["amplitudes"]]
@@ -115,20 +115,12 @@ def load_ensemble_file(path: str) -> tuple[Ensemble, BellFamily | None, list[flo
         if not abs(norm - 1.0) <= FILE_NORM_TOL:
             raise ValidationError(f"state {idx} has norm {norm!r}, beyond the {FILE_NORM_TOL:.0e} load tolerance")
         if abs(norm - 1.0) > DEFAULT_TOL:
-            warnings.warn(f"state {idx} renormalized on load (norm was {norm!r})", stacklevel=2)
-        states.append(PureState(amps / norm, dim_a, dim_b))
+            renormalized.append(f"state {idx} renormalized on load (norm was {norm!r})")
+        states.append(PureState(amps / norm, *dims))
     ensemble = Ensemble(tuple(zip(probs, states)))
-    return ensemble, None, ensemble.probs
-
-
-def _fmt_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".12g")
-    if isinstance(value, (list, tuple)):
-        return ", ".join(_fmt_value(v) for v in value)
-    return str(value)
+    for message in renormalized:
+        warnings.warn(message, stacklevel=2)
+    return ensemble
 
 
 def _jsonable(value):
@@ -144,7 +136,8 @@ def _emit(result: dict, as_json: bool) -> None:
         print(json.dumps({k: _jsonable(v) for k, v in result.items()}))
     else:
         for key, value in result.items():
-            print(f"{key} = {_fmt_value(value)}")
+            values = value if isinstance(value, (list, tuple)) else [value]
+            print(f"{key} = {', '.join(map(format_value, values))}")
 
 
 def _family_from_args(args) -> tuple[BellFamily, list[float] | None]:
@@ -154,87 +147,62 @@ def _family_from_args(args) -> tuple[BellFamily, list[float] | None]:
     return BellFamily.from_squared(args.a2, args.c2), probs
 
 
-def _cmd_discriminate(args) -> int:
+def _cmd_discriminate(args) -> dict:
     if args.ensemble:
-        ensemble, _, _ = load_ensemble_file(args.ensemble)
-        _emit({"feasible_unassisted": ensemble_discrimination_feasible(ensemble, args.tol)}, args.json)
-        return 0
+        ensemble = load_ensemble_file(args.ensemble)
+        return {"feasible_unassisted": ensemble_discrimination_feasible(ensemble, args.tol)}
     family, probs = _family_from_args(args)
     feasible = perfect_discrimination_feasible(family, probs, tol=args.tol)
-    _emit({"a2": args.a2, "c2": args.c2, "feasible_unassisted": feasible}, args.json)
-    return 0
+    return {"a2": args.a2, "c2": args.c2, "feasible_unassisted": feasible}
 
 
-def _cmd_three_state(args) -> int:
+def _cmd_three_state(args) -> dict:
     family, probs = _family_from_args(args)
     which = _parse_list(args.which, "--which", int)
     feasible = three_state_feasible(family, which, probs, tol=args.tol)
-    _emit(
-        {"a2": args.a2, "c2": args.c2, "which": which, "feasible_unassisted": feasible},
-        args.json,
-    )
-    return 0
+    return {"a2": args.a2, "c2": args.c2, "which": which, "feasible_unassisted": feasible}
 
 
-def _cmd_assist_cost(args) -> int:
+def _cmd_assist_cost(args) -> dict:
     family, _ = _family_from_args(args)
     report = assisted_alpha2_max(family)
-    _emit(
-        {
-            "a2": args.a2,
-            "c2": args.c2,
-            "feasible": report.feasible,
-            "alpha2_max": report.alpha2_max,
-            "assist_cost_ebits": report.cost_ebits,
-            "first_sum_bound": report.first_sum_bound,
-        },
-        args.json,
-    )
-    return 0
+    return {
+        "a2": args.a2,
+        "c2": args.c2,
+        "feasible": report.feasible,
+        "alpha2_max": report.alpha2_max,
+        "assist_cost_ebits": report.cost_ebits,
+        "first_sum_bound": report.first_sum_bound,
+    }
 
 
-def _cmd_preserve_cost(args) -> int:
+def _cmd_preserve_cost(args) -> dict:
     family, probs = _family_from_args(args)
     spectrum = preserve_spectrum(family, probs)
-    _emit(
-        {
-            "a2": args.a2,
-            "c2": args.c2,
-            "preserve_cost_ebits": preserve_cost(family, probs),
-            "preserve_spectrum": [float(v) for v in spectrum.entries],
-        },
-        args.json,
-    )
-    return 0
+    return {
+        "a2": args.a2,
+        "c2": args.c2,
+        "preserve_cost_ebits": preserve_cost(family, probs),
+        "preserve_spectrum": [float(v) for v in spectrum.entries],
+    }
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> dict:
     if args.ensemble:
-        ensemble, _, _ = load_ensemble_file(args.ensemble)
+        ensemble = load_ensemble_file(args.ensemble)
     else:
         family, probs = _family_from_args(args)
         ensemble = Ensemble(tuple(zip(check_family_priors(probs, 4), family.states())))
-    bound = distinguishability_bound(ensemble)
-    _emit(
-        {
-            "n_robustness": bound.n_robustness,
-            "n_rel_entropy": bound.n_rel_entropy,
-            "n_geometric": bound.n_geometric,
-        },
-        args.json,
-    )
-    return 0
+    return asdict(distinguishability_bound(ensemble))
 
 
-def _cmd_convert(args) -> int:
+def _cmd_convert(args) -> dict:
     source = ProbVector(_parse_list(args.source, "--source"))
     targets = [_parse_target(t) for t in args.target]
-    feasible = locc_ensemble_feasible(source, targets, tol=args.tol)
-    _emit({"feasible": feasible}, args.json)
-    return 0
+    return {"feasible": locc_ensemble_feasible(source, targets, tol=args.tol)}
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     probs = _parse_list(args.probs, "--probs") if args.probs else None
     which = _parse_list(args.which, "--which", int)
     records = run_sweep(args.mode, grid_n=args.grid_n, probs=probs, which=which)
@@ -242,7 +210,6 @@ def _cmd_sweep(args) -> int:
         write_csv(records, args.out or sys.stdout)
     except OSError as exc:
         raise ValidationError(f"cannot write CSV: {exc}")
-    return 0
 
 
 # Every character str.splitlines() breaks at, mapped to its escape: messages
@@ -338,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid scan over (a2, c2), emitted as CSV")
     p.add_argument("--mode", required=True, choices=SWEEP_MODES)
-    p.add_argument("--grid-n", type=int, default=101, help=f"lattice points per axis (default 101, at most {MAX_GRID_N})")
+    grid_help = f"lattice points per axis (default {DEFAULT_GRID_N}, at most {MAX_GRID_N})"
+    p.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N, help=grid_help)
     p.add_argument("--probs", help="comma-separated priors")
     p.add_argument("--which", default="0,1,2", help="subset for feasible3 mode")
     p.add_argument("--out", metavar="FILE", help="write CSV here instead of standard output")
@@ -350,7 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        result = args.handler(args)
+        if result is not None:
+            _emit(result, args.json)
+        return 0
     except ValidationError as exc:
         sys.stderr.write(_error_line(str(exc)))
         return 2

@@ -23,6 +23,7 @@ from .spectra import (
     ProbVector,
     binary_entropy,
     entropy_bits,
+    majorized_rows,
     majorizes,
     mix,
     tensor,
@@ -125,14 +126,14 @@ def pointer_spectra(member_mats: np.ndarray, probs: Sequence[float]) -> np.ndarr
     return np.linalg.svd(composite.reshape(n, 2 * dim_a, 2 * dim_b), compute_uv=False) ** 2
 
 
-def pointer_majorized(lam: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Which rows of ``lam`` are majorized by the mixed Bell-pointer spectrum.
+# Every Bell pointer's spectrum is (1/2, 1/2), so any priors mix to this; padded to a 2x2 spectrum's length.
+_POINTER_TARGET = np.array([0.5, 0.5, 0.0, 0.0])
+_POINTER_TARGET.setflags(write=False)
 
-    Every Bell pointer has spectrum (1/2, 1/2), so for any priors the mixed
-    target is (1/2, 1/2, 0, ...), compared at the spectra's length.
-    """
-    target = np.cumsum([0.5, 0.5] + [0.0] * (lam.shape[1] - 2))
-    return np.all(np.cumsum(lam, axis=1) <= target + tol, axis=1)
+
+def pointer_majorized(lam: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Which rows of ``lam`` are majorized by the mixed Bell-pointer spectrum."""
+    return majorized_rows(lam, _POINTER_TARGET, tol)
 
 
 def _family_batch(family: BellFamily) -> np.ndarray:

@@ -21,6 +21,7 @@ __all__ = [
     "binary_entropy",
     "check_probabilities",
     "entropy_bits",
+    "majorized_rows",
     "majorizes",
     "mix",
     "pad",
@@ -100,17 +101,20 @@ class ProbVector:
 
 
 def _padded_desc(x: np.ndarray, n: int) -> np.ndarray:
-    if x.size >= n:
+    if x.shape[-1] >= n:
         return x
-    return np.concatenate([x, np.zeros(n - x.size)])
+    return np.concatenate([x, np.zeros((*x.shape[:-1], n - x.shape[-1]))], axis=-1)
 
 
-def _majorized_by(x_desc: np.ndarray, y_desc: np.ndarray, tol: float) -> bool:
-    """Partial-sum dominance test on already-sorted (descending) arrays."""
-    n = max(x_desc.size, y_desc.size)
-    cx = np.cumsum(_padded_desc(x_desc, n))
-    cy = np.cumsum(_padded_desc(y_desc, n))
-    return bool(np.all(cx <= cy + tol))
+def majorized_rows(x_desc: np.ndarray, y_desc: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The partial-sum test: is ``x_desc`` majorized by ``y_desc``, row by row?
+
+    Each side is one descending vector or one per row; the shorter side's last axis is zero-padded.
+    """
+    n = max(x_desc.shape[-1], y_desc.shape[-1])
+    cx = np.cumsum(_padded_desc(x_desc, n), axis=-1)
+    cy = np.cumsum(_padded_desc(y_desc, n), axis=-1)
+    return np.all(cx <= cy + tol, axis=-1)
 
 
 def majorizes(x: ProbVector, y: ProbVector, tol: float = DEFAULT_TOL) -> bool:
@@ -120,7 +124,7 @@ def majorizes(x: ProbVector, y: ProbVector, tol: float = DEFAULT_TOL) -> bool:
     descending-sorted entries; total-sum equality holds by the normalization
     invariant, so only the dominance inequalities are checked.
     """
-    return _majorized_by(x.entries, y.entries, tol)
+    return bool(majorized_rows(x.entries, y.entries, tol))
 
 
 def tensor(x: ProbVector, y: ProbVector) -> ProbVector:

@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 
+def _is_index(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """A normalized pure state on a bipartite cut with declared local dimensions."""
@@ -43,8 +47,8 @@ class PureState:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).ravel()
-        if self.dim_a < 1 or self.dim_b < 1:
-            raise ValidationError("local dimensions must be positive")
+        if not all(_is_index(d) and d >= 1 for d in (self.dim_a, self.dim_b)):
+            raise ValidationError(f"local dimensions must be positive integers, got {self.dim_a!r} and {self.dim_b!r}")
         if amps.size != self.dim_a * self.dim_b:
             raise ValidationError(
                 f"got {amps.size} amplitudes for dimensions {self.dim_a}x{self.dim_b}"
@@ -151,10 +155,10 @@ def check_family_priors(probs, count: int) -> list[float]:
 
 def check_which(which) -> tuple[int, ...]:
     """Validate a three-member subset of the family as distinct indices in 0..3."""
-    which = tuple(int(i) for i in which)
-    if len(which) != 3 or len(set(which)) != 3 or not all(0 <= i < 4 for i in which):
+    which = tuple(which)
+    if len(which) != 3 or not all(_is_index(i) and 0 <= i < 4 for i in which) or len(set(which)) != 3:
         raise ValidationError(f"which={which!r} must be three distinct indices in 0..3")
-    return which
+    return tuple(map(int, which))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ __all__ = [
     "SweepRecord",
     "SweepTable",
     "avg_entanglement",
+    "format_value",
     "records_to_csv",
     "run_sweep",
     "write_csv",
@@ -178,28 +179,8 @@ def run_sweep(
     return SweepTable(columns)
 
 
-def _csv_chunks(columns: dict[str, np.ndarray], size: int) -> Iterator[str]:
-    """CSV rows, CSV_CHUNK_ROWS at a time, each formatted by one %-pattern.
-
-    Float columns print with %.12g (the same text as format(v, ".12g")),
-    boolean columns as true/false, absent columns as empty fields, and
-    object columns (already formatted strings) as they are.
-    """
-    patterns, cells = [], []
-    for name in _FIELDS:
-        column = columns.get(name)
-        if column is None:
-            patterns.append("")
-            continue
-        patterns.append("%s" if column.dtype.kind in "bO" else "%.12g")
-        cells.append(np.where(column, "true", "false") if column.dtype.kind == "b" else column)
-    row = ",".join(patterns) + "\n"
-    for start in range(0, size, CSV_CHUNK_ROWS):
-        chunk = zip(*(column[start : start + CSV_CHUNK_ROWS].tolist() for column in cells))
-        yield "".join([row % values for values in chunk])
-
-
-def _format_field(value) -> str:
+def format_value(value) -> str:
+    """The text of one output value: None is empty, bools are true/false, numbers %.12g."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -207,17 +188,33 @@ def _format_field(value) -> str:
     return format(value, ".12g")
 
 
+def _csv_chunks(columns: dict[str, np.ndarray], size: int) -> Iterator[str]:
+    """CSV rows, CSV_CHUNK_ROWS at a time, each formatted by one %-pattern.
+
+    Float columns print with %.12g (the same text as format_value), boolean
+    columns as true/false, and absent columns as empty fields.
+    """
+    patterns, cells = [], []
+    for name in _FIELDS:
+        column = columns.get(name)
+        if column is None:
+            patterns.append("")
+            continue
+        patterns.append("%s" if column.dtype.kind == "b" else "%.12g")
+        cells.append(np.where(column, "true", "false") if column.dtype.kind == "b" else column)
+    row = ",".join(patterns) + "\n"
+    for start in range(0, size, CSV_CHUNK_ROWS):
+        chunk = zip(*(column[start : start + CSV_CHUNK_ROWS].tolist() for column in cells))
+        yield "".join([row % values for values in chunk])
+
+
 def records_to_csv(records: Sequence[SweepRecord]) -> str:
-    """Render records under the fixed header, floats at 12 significant digits."""
+    """Render records under the fixed header: a SweepTable by columns, other records row by row."""
     if isinstance(records, SweepTable):
-        columns = records._columns
+        rows = _csv_chunks(records._columns, len(records))
     else:
-        records = list(records)
-        columns = {
-            name: np.array([_format_field(getattr(r, name)) for r in records], dtype=object)
-            for name in _FIELDS
-        }
-    return "".join([CSV_HEADER, "\n", *_csv_chunks(columns, len(records))])
+        rows = (",".join([format_value(getattr(r, name)) for name in _FIELDS]) + "\n" for r in records)
+    return "".join([CSV_HEADER, "\n", *rows])
 
 
 def write_csv(records: Sequence[SweepRecord], destination) -> None:

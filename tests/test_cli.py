@@ -155,15 +155,64 @@ class TestBounds:
         assert "cannot read" in err
 
 
+PRIORS = "0.4,0.3,0.2,0.1"
+A2_C2 = ["--a2", "0.8", "--c2", "0.7"]
+SWEEP_PIN = (
+    "a2,c2,avg_ent_ebits,feasible_unassisted,alpha2_max,assist_cost_ebits,preserve_cost_ebits\n"
+    "0.5,0.5,1,false,0.5,1,\n"
+    "0.5,1,0.7,false,0.686291501015,0.897408004234,\n"
+    "1,0.5,0.3,false,0.686291501015,0.897408004234,\n"
+    "1,1,0,true,1,0,\n"
+)
+
+
+class TestStdoutPins:
+    """Exact standard output of every subcommand, text and --json."""
+
+    @pytest.mark.parametrize(
+        "argv, text, as_json",
+        [
+            (["discriminate", *A2_C2, "--probs", PRIORS],
+             "a2 = 0.8\nc2 = 0.7\nfeasible_unassisted = false\n",
+             '{"a2": 0.8, "c2": 0.7, "feasible_unassisted": false}\n'),
+            (["three-state", "--a2", "0.99", "--c2", "0.995", "--which", "0,2,3"],
+             "a2 = 0.99\nc2 = 0.995\nwhich = 0, 2, 3\nfeasible_unassisted = true\n",
+             '{"a2": 0.99, "c2": 0.995, "which": [0, 2, 3], "feasible_unassisted": true}\n'),
+            (["assist-cost", *A2_C2],
+             "a2 = 0.8\nc2 = 0.7\nfeasible = true\nalpha2_max = 0.538270825826\n"
+             "assist_cost_ebits = 0.995769759562\nfirst_sum_bound = 0.538270825826\n",
+             '{"a2": 0.8, "c2": 0.7, "feasible": true, "alpha2_max": 0.5382708258257587, '
+             '"assist_cost_ebits": 0.9957697595617601, "first_sum_bound": 0.5382708258257584}\n'),
+            (["preserve-cost", *A2_C2, "--probs", PRIORS],
+             "a2 = 0.8\nc2 = 0.7\npreserve_cost_ebits = 1.55592182565\n"
+             "preserve_spectrum = 0.595, 0.175, 0.175, 0.055\n",
+             '{"a2": 0.8, "c2": 0.7, "preserve_cost_ebits": 1.5559218256507088, '
+             '"preserve_spectrum": [0.5950000000000001, 0.175, 0.175, 0.05500000000000001]}\n'),
+            (["bounds", *A2_C2],
+             "n_robustness = 2.15255412687\nn_rel_entropy = 2.29133941694\nn_geometric = 2.98666666667\n",
+             '{"n_robustness": 2.1525541268672366, "n_rel_entropy": 2.291339416942349, '
+             '"n_geometric": 2.986666666666667}\n'),
+            (["convert", "--source", "0.5,0.5", "--target", "0.5:1,0", "--target", "0.5:0.6,0.4"],
+             "feasible = true\n",
+             '{"feasible": true}\n'),
+            (["sweep", "--mode", "assist", "--grid-n", "2", "--probs", PRIORS], SWEEP_PIN, None),
+        ],
+        ids=["discriminate", "three-state", "assist-cost", "preserve-cost", "bounds", "convert", "sweep"],
+    )
+    def test_exact_stdout(self, capsys, argv, text, as_json):
+        assert run_cli(capsys, *argv) == (0, text, "")
+        if as_json is not None:
+            assert run_cli(capsys, *argv, "--json") == (0, as_json, "")
+
+
 class TestEnsembleFile:
     def test_renormalizes_with_warning(self, tmp_path):
         amps = [[0.6 + 3e-7, 0.0], [0.0, 0.0], [0.0, 0.0], [0.8, 0.0]]
         path = tmp_path / "ens.json"
         path.write_text(json.dumps({"states": [{"amplitudes": amps, "dim_a": 2, "dim_b": 2}], "probs": [1.0]}))
         with pytest.warns(UserWarning, match="renormalized"):
-            ensemble, family, probs = load_ensemble_file(str(path))
-        assert family is None
-        assert probs == [1.0]
+            ensemble = load_ensemble_file(str(path))
+        assert ensemble.probs == [1.0]
         assert np.vdot(ensemble.states[0].amplitudes, ensemble.states[0].amplitudes).real == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_norm_beyond_file_tolerance(self, tmp_path):
@@ -195,9 +244,8 @@ class TestEnsembleFile:
     def test_family_file_with_probs(self, tmp_path):
         path = tmp_path / "ens.json"
         path.write_text(json.dumps({"family": {"a2": 0.8, "c2": 0.9}, "probs": [0.4, 0.3, 0.2, 0.1]}))
-        ensemble, family, probs = load_ensemble_file(str(path))
-        assert family is not None
-        assert probs == [0.4, 0.3, 0.2, 0.1]
+        ensemble = load_ensemble_file(str(path))
+        assert ensemble.probs == [0.4, 0.3, 0.2, 0.1]
         assert len(ensemble.members) == 4
 
     def test_discriminate_family_file_matches_flags(self, capsys, tmp_path):
@@ -407,6 +455,9 @@ class TestInputContract:
             (["preserve-cost", "--a2", "0.7", "--c2", "0.7", "--probs", "1e308,1e308,-1e308,-1e308"], None),
             (["preserve-cost", "--a2", "0.7", "--c2", "0.7", "--probs", "1e308,1e308,0,0"], None),
             (["sweep", "--mode", "preserve", "--grid-n", "3", "--probs", "1e308,1e308,-1e308,-1e308"], None),
+            (["bounds"], '{"states": [%s], "probs": [1.0]}' % ONE_STATE.replace('"dim_a": 2', '"dim_a": 2.9')),
+            (["bounds"], '{"states": [%s], "probs": [1.0]}' % ONE_STATE.replace('"dim_a": 2', '"dim_a": 2.0')),
+            (["discriminate"], '{"states": [%s], "probs": [1.0]}' % ONE_STATE.replace('2, "dim_b": 2', 'true, "dim_b": 4')),
         ],
     )
     def test_malformed_values_exit_2(self, capsys, tmp_path, argv, file_text):
@@ -419,6 +470,14 @@ class TestInputContract:
             path.write_text(file_text)
             argv = argv + ["--ensemble", str(path)]
         self.assert_rejected(capsys, *argv)
+
+    def test_renormalization_warned_only_after_the_file_validates(self, capsys, tmp_path):
+        # a renormalized state 0 used to print its two-line warning before
+        # state 1's error
+        path = tmp_path / "ens.json"
+        off_norm = ONE_STATE.replace("[[1, 0]", "[[1.00000018, 0]")
+        path.write_text('{"states": [%s, %s], "probs": [0.5, 0.5]}' % (off_norm, ONE_STATE.replace(', "dim_b": 2', "")))
+        self.assert_rejected(capsys, "discriminate", "--ensemble", str(path))
 
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         # an --out that cannot be opened used to exit 1 with a traceback name

@@ -144,7 +144,7 @@ def object_route(ensemble: Ensemble):
 
 
 class TestEnsembleDiscrimination:
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (1, 2), (3, 3)])
     def test_matches_object_route(self, dims):
         # the batched kernel against pointer_state + reduced_spectrum + mix
         # + majorizes, on random complex ensembles of 1-4 members
@@ -205,7 +205,7 @@ class TestThreeState:
 
     def test_rejects_bad_subsets(self):
         family = BellFamily.from_squared(0.9, 0.9)
-        for which in [(0, 1), (0, 1, 1), (0, 1, 4), (0, 1, 2, 3)]:
+        for which in [(0, 1), (0, 1, 1), (0, 1, 4), (0, 1, 2, 3), (0.9, 1, 2), (True, 2, 3), (0, 1, 2.0)]:
             with pytest.raises(ValidationError):
                 three_state_feasible(family, which=which)
 

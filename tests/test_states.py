@@ -37,6 +37,16 @@ class TestPureState:
             with pytest.raises(ValidationError, match="finite"):
                 PureState(np.array([bad, 0.0, 0.0, 1.0]), 2, 2)
 
+    @pytest.mark.parametrize("dims", [(2.0, 2), (2, 2.9), (True, 4), ("2", 2), (0, 4), (np.float64(2.0), 2)])
+    def test_rejects_non_integer_dimensions(self, dims):
+        # floats and bools used to construct and then fail with a raw
+        # TypeError in coefficient_matrix()
+        with pytest.raises(ValidationError, match="positive integers"):
+            PureState(np.array([1.0, 0.0, 0.0, 0.0]), *dims)
+
+    def test_accepts_numpy_integer_dimensions(self):
+        assert PureState(np.array([1.0, 0.0, 0.0, 0.0]), np.int64(2), np.int32(2)).coefficient_matrix().shape == (2, 2)
+
     def test_matrix_round_trip(self):
         state = random_pure_state(np.random.default_rng(0), 3, 4)
         again = PureState.from_matrix(state.coefficient_matrix())

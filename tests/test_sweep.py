@@ -81,8 +81,10 @@ class TestRunSweep:
             run_sweep("feasible3", 5, probs=[0.25] * 4)
 
     def test_rejects_bad_subset(self):
-        with pytest.raises(ValidationError):
-            run_sweep("feasible3", 5, which=(0, 1))
+        # non-integer indices used to be truncated, and True read as 1
+        for which in [(0, 1), (0.9, 1, 2), (True, 2, 3)]:
+            with pytest.raises(ValidationError):
+                run_sweep("feasible3", 5, which=which)
 
     @pytest.mark.parametrize(
         "mode, probs",
