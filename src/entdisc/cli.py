@@ -21,13 +21,11 @@ from .discrimination import (
     assisted_alpha2_max,
     ensemble_discrimination_feasible,
     locc_ensemble_feasible,
-    perfect_discrimination_feasible,
-    preserve_cost,
     preserve_spectrum,
     three_state_feasible,
 )
 from .errors import ValidationError
-from .spectra import DEFAULT_TOL, ProbVector
+from .spectra import DEFAULT_TOL, ProbVector, entropy_bits
 from .states import BellFamily, Ensemble, PureState, check_family_priors, distinguishability_bound
 from .sweep import DEFAULT_GRID_N, MAX_GRID_N, SWEEP_MODES, format_value, run_sweep, write_csv
 
@@ -92,8 +90,7 @@ def load_ensemble_file(path: str) -> Ensemble:
             a2, c2 = float(entry["a2"]), float(entry["c2"])
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"'family' values must be numbers: {exc}") from None
-        probs = check_family_priors(data.get("probs"), 4)
-        return Ensemble(tuple(zip(probs, BellFamily.from_squared(a2, c2).states())))
+        return _family_ensemble(BellFamily.from_squared(a2, c2), data.get("probs"))
 
     raw_states = data["states"]
     if "probs" not in data:
@@ -116,7 +113,10 @@ def load_ensemble_file(path: str) -> Ensemble:
             raise ValidationError(f"state {idx} has norm {norm!r}, beyond the {FILE_NORM_TOL:.0e} load tolerance")
         if abs(norm - 1.0) > DEFAULT_TOL:
             renormalized.append(f"state {idx} renormalized on load (norm was {norm!r})")
-        states.append(PureState(amps / norm, *dims))
+        try:
+            states.append(PureState(amps / norm, *dims))
+        except ValidationError as exc:
+            raise ValidationError(f"state {idx}: {exc}") from None
     ensemble = Ensemble(tuple(zip(probs, states)))
     for message in renormalized:
         warnings.warn(message, stacklevel=2)
@@ -140,59 +140,55 @@ def _emit(result: dict, as_json: bool) -> None:
             print(f"{key} = {', '.join(map(format_value, values))}")
 
 
-def _family_from_args(args) -> tuple[BellFamily, list[float] | None]:
+def _family_ensemble(family: BellFamily, probs) -> Ensemble:
+    """The family's four members under ``probs`` (None: equal priors), for flags and family files alike."""
+    return Ensemble(tuple(zip(check_family_priors(probs, 4), family.states())))
+
+
+def _family_flags(args) -> tuple[BellFamily, list[float] | None, dict]:
+    """--a2/--c2[/--probs] as the family, its priors (None: the command's default) and the keys to echo."""
     if args.a2 is None or args.c2 is None:
         raise ValidationError("both --a2 and --c2 are required")
     probs = _parse_list(args.probs, "--probs") if getattr(args, "probs", None) else None
-    return BellFamily.from_squared(args.a2, args.c2), probs
+    return BellFamily.from_squared(args.a2, args.c2), probs, {"a2": args.a2, "c2": args.c2}
+
+
+def _resolve_ensemble(args) -> tuple[Ensemble, dict]:
+    """--ensemble FILE or the family flags as one Ensemble, and the keys to echo (none for a file)."""
+    if args.ensemble is None:
+        family, probs, echo = _family_flags(args)
+        return _family_ensemble(family, probs), echo
+    if args.a2 is not None or args.c2 is not None or args.probs is not None:
+        raise ValidationError("--ensemble cannot be combined with --a2, --c2 or --probs")
+    return load_ensemble_file(args.ensemble), {}
 
 
 def _cmd_discriminate(args) -> dict:
-    if args.ensemble:
-        ensemble = load_ensemble_file(args.ensemble)
-        return {"feasible_unassisted": ensemble_discrimination_feasible(ensemble, args.tol)}
-    family, probs = _family_from_args(args)
-    feasible = perfect_discrimination_feasible(family, probs, tol=args.tol)
-    return {"a2": args.a2, "c2": args.c2, "feasible_unassisted": feasible}
+    ensemble, echo = _resolve_ensemble(args)
+    return {**echo, "feasible_unassisted": ensemble_discrimination_feasible(ensemble, args.tol)}
 
 
 def _cmd_three_state(args) -> dict:
-    family, probs = _family_from_args(args)
+    family, probs, echo = _family_flags(args)
     which = _parse_list(args.which, "--which", int)
-    feasible = three_state_feasible(family, which, probs, tol=args.tol)
-    return {"a2": args.a2, "c2": args.c2, "which": which, "feasible_unassisted": feasible}
+    return {**echo, "which": which, "feasible_unassisted": three_state_feasible(family, which, probs, tol=args.tol)}
 
 
 def _cmd_assist_cost(args) -> dict:
-    family, _ = _family_from_args(args)
+    family, _, echo = _family_flags(args)
     report = assisted_alpha2_max(family)
-    return {
-        "a2": args.a2,
-        "c2": args.c2,
-        "feasible": report.feasible,
-        "alpha2_max": report.alpha2_max,
-        "assist_cost_ebits": report.cost_ebits,
-        "first_sum_bound": report.first_sum_bound,
-    }
+    return {**echo, "feasible": report.feasible, "alpha2_max": report.alpha2_max,
+            "assist_cost_ebits": report.cost_ebits, "first_sum_bound": report.first_sum_bound}
 
 
 def _cmd_preserve_cost(args) -> dict:
-    family, probs = _family_from_args(args)
+    family, probs, echo = _family_flags(args)
     spectrum = preserve_spectrum(family, probs)
-    return {
-        "a2": args.a2,
-        "c2": args.c2,
-        "preserve_cost_ebits": preserve_cost(family, probs),
-        "preserve_spectrum": [float(v) for v in spectrum.entries],
-    }
+    return {**echo, "preserve_cost_ebits": entropy_bits(spectrum), "preserve_spectrum": spectrum.entries.tolist()}
 
 
 def _cmd_bounds(args) -> dict:
-    if args.ensemble:
-        ensemble = load_ensemble_file(args.ensemble)
-    else:
-        family, probs = _family_from_args(args)
-        ensemble = Ensemble(tuple(zip(check_family_priors(probs, 4), family.states())))
+    ensemble, _ = _resolve_ensemble(args)
     return asdict(distinguishability_bound(ensemble))
 
 
@@ -253,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="perfect LOCC distinguishability of the four-state family or a JSON ensemble",
     )
     p.add_argument("--probs", help="comma-separated priors (default: uniform)")
-    p.add_argument("--ensemble", metavar="FILE", help="JSON ensemble file instead of --a2/--c2")
+    p.add_argument("--ensemble", metavar="FILE", help="JSON ensemble file instead of --a2, --c2 and --probs")
     p.set_defaults(handler=_cmd_discriminate)
 
     p = sub.add_parser(
@@ -286,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="distinguishable-count bounds from three entanglement measures",
     )
     p.add_argument("--probs", help="comma-separated priors (family form only)")
-    p.add_argument("--ensemble", metavar="FILE", help="JSON ensemble file instead of --a2/--c2")
+    p.add_argument("--ensemble", metavar="FILE", help="JSON ensemble file instead of --a2, --c2 and --probs")
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser(

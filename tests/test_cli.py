@@ -1,3 +1,4 @@
+import itertools
 import json
 import sys
 import warnings
@@ -122,6 +123,28 @@ class TestFamilyCommands:
         assert result["preserve_cost_ebits"] == pytest.approx(1.548795, abs=1e-5)
 
 
+FAMILY_POINTS = [(0.5, 0.5), (0.5, 1.0), (1.0, 0.5), (1.0, 1.0), (0.8, 0.7), (0.95, 1.0), (0.9, 0.9), (0.75, 0.75)]
+FAMILY_PRIORS = [None, [0.4, 0.3, 0.2, 0.1], [0.97, 0.01, 0.01, 0.01], [0.0, 0.5, 0.5, 0.0]]
+
+
+def assert_family_file_matches_flags(capsys, tmp_path, command):
+    """Flags and family files resolve to one Ensemble, so they print the same values.
+
+    Only the flags form of ``discriminate`` echoes a2 and c2.
+    """
+    path = tmp_path / "ens.json"
+    for (a2, c2), probs in itertools.product(FAMILY_POINTS, FAMILY_PRIORS):
+        data = {"family": {"a2": a2, "c2": c2}}
+        flags = [command, "--a2", str(a2), "--c2", str(c2), "--json"]
+        if probs:
+            data["probs"] = probs
+            flags += ["--probs", ",".join(map(str, probs))]
+        path.write_text(json.dumps(data))
+        from_file = get_json(capsys, command, "--ensemble", str(path), "--json")
+        echo = {"a2": a2, "c2": c2} if command == "discriminate" else {}
+        assert get_json(capsys, *flags) == {**echo, **from_file}, (a2, c2, probs)
+
+
 class TestBounds:
     def test_family_flags(self, capsys):
         result = get_json(capsys, "bounds", "--a2", "0.5", "--c2", "0.5", "--json")
@@ -133,6 +156,7 @@ class TestBounds:
         path.write_text(json.dumps({"family": {"a2": 1.0, "c2": 1.0}}))
         result = get_json(capsys, "bounds", "--ensemble", str(path), "--json")
         assert result["n_geometric"] == pytest.approx(4.0, abs=1e-9)
+        assert_family_file_matches_flags(capsys, tmp_path, "bounds")
 
     def test_states_file(self, capsys, tmp_path):
         r = 1.0 / np.sqrt(2.0)
@@ -249,16 +273,7 @@ class TestEnsembleFile:
         assert len(ensemble.members) == 4
 
     def test_discriminate_family_file_matches_flags(self, capsys, tmp_path):
-        path = tmp_path / "ens.json"
-        for a2, c2, probs in [(1.0, 1.0, None), (0.8, 0.7, None), (0.95, 1.0, [0.4, 0.3, 0.2, 0.1])]:
-            data = {"family": {"a2": a2, "c2": c2}}
-            flags = ["discriminate", "--a2", str(a2), "--c2", str(c2), "--json"]
-            if probs:
-                data["probs"] = probs
-                flags += ["--probs", ",".join(map(str, probs))]
-            path.write_text(json.dumps(data))
-            from_file = get_json(capsys, "discriminate", "--ensemble", str(path), "--json")
-            assert from_file["feasible_unassisted"] == get_json(capsys, *flags)["feasible_unassisted"]
+        assert_family_file_matches_flags(capsys, tmp_path, "discriminate")
 
     def test_discriminate_from_states_file(self, capsys, tmp_path):
         # four product states are locally distinguishable
@@ -350,6 +365,15 @@ NAN_AMPLITUDE_STATES = (
     ' {"amplitudes": [[0, 0], [1, 0], [0, 0], [0, 0]], "dim_a": 2, "dim_b": 2}], "probs": [0.5, 0.5]}'
 )
 ONE_STATE = '{"amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]], "dim_a": 2, "dim_b": 2}'
+FLOAT_DIM_STATE = '{"states": [%s], "probs": [1.0]}' % ONE_STATE.replace('"dim_a": 2', '"dim_a": 2.9')
+SHORT_SECOND_STATE = '{"states": [%s, %s], "probs": [0.5, 0.5]}' % (
+    ONE_STATE, '{"amplitudes": [[0, 0], [1, 0], [0, 0]], "dim_a": 2, "dim_b": 2}'
+)
+# What a states file's error line starts with when PureState rejects one of its states.
+STATE_ERRORS = {
+    FLOAT_DIM_STATE: "error: state 0: local dimensions must be positive integers, got 2.9 and 2",
+    SHORT_SECOND_STATE: "error: state 1: got 3 amplitudes for dimensions 2x2",
+}
 
 
 class TestInputContract:
@@ -364,6 +388,7 @@ class TestInputContract:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
         assert caught == []
+        return lines[0]
 
     def test_priors_summing_beyond_one(self, capsys):
         self.assert_rejected(capsys, "sweep", "--mode", "preserve", "--grid-n", "3", "--probs", "0.9,0.9,0.9,0.9")
@@ -436,6 +461,17 @@ class TestInputContract:
         code, _, err = run_cli(capsys, "sweep", "--mode", "assist", "--grid-n", "1001", "--probs", "0.9,0.9,0.9,0.9")
         assert "probabilities sum to" in err
 
+    @pytest.mark.parametrize("command", ["discriminate", "bounds"])
+    @pytest.mark.parametrize("extra", [["--a2", "0.9"], ["--c2", "0.9"], ["--probs", "0.97,0.01,0.01,0.01"]])
+    def test_ensemble_excludes_family_flags(self, capsys, tmp_path, command, extra):
+        # a family flag beside --ensemble used to be dropped without a word:
+        # with this file, discriminate printed the equal-priors verdict
+        # (false) where the flags form with the same priors prints true
+        path = tmp_path / "fam.json"
+        path.write_text('{"family": {"a2": 0.9, "c2": 0.9}}')
+        reason = self.assert_rejected(capsys, command, "--ensemble", str(path), *extra)
+        assert reason == "error: --ensemble cannot be combined with --a2, --c2 or --probs"
+
     def test_family_prior_count_in_bounds(self, capsys):
         # --probs with fewer than four priors used to drop members silently
         self.assert_rejected(capsys, "bounds", "--a2", "0.8", "--c2", "0.7", "--probs", "0.5,0.5")
@@ -455,9 +491,10 @@ class TestInputContract:
             (["preserve-cost", "--a2", "0.7", "--c2", "0.7", "--probs", "1e308,1e308,-1e308,-1e308"], None),
             (["preserve-cost", "--a2", "0.7", "--c2", "0.7", "--probs", "1e308,1e308,0,0"], None),
             (["sweep", "--mode", "preserve", "--grid-n", "3", "--probs", "1e308,1e308,-1e308,-1e308"], None),
-            (["bounds"], '{"states": [%s], "probs": [1.0]}' % ONE_STATE.replace('"dim_a": 2', '"dim_a": 2.9')),
+            (["bounds"], FLOAT_DIM_STATE),
             (["bounds"], '{"states": [%s], "probs": [1.0]}' % ONE_STATE.replace('"dim_a": 2', '"dim_a": 2.0')),
             (["discriminate"], '{"states": [%s], "probs": [1.0]}' % ONE_STATE.replace('2, "dim_b": 2', 'true, "dim_b": 4')),
+            (["discriminate"], SHORT_SECOND_STATE),
         ],
     )
     def test_malformed_values_exit_2(self, capsys, tmp_path, argv, file_text):
@@ -469,7 +506,7 @@ class TestInputContract:
             path = tmp_path / "ens.json"
             path.write_text(file_text)
             argv = argv + ["--ensemble", str(path)]
-        self.assert_rejected(capsys, *argv)
+        assert self.assert_rejected(capsys, *argv).startswith(STATE_ERRORS.get(file_text, "error: "))
 
     def test_renormalization_warned_only_after_the_file_validates(self, capsys, tmp_path):
         # a renormalized state 0 used to print its two-line warning before
