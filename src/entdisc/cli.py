@@ -149,7 +149,7 @@ def _family_flags(args) -> tuple[BellFamily, list[float] | None, dict]:
     """--a2/--c2[/--probs] as the family, its priors (None: the command's default) and the keys to echo."""
     if args.a2 is None or args.c2 is None:
         raise ValidationError("both --a2 and --c2 are required")
-    probs = _parse_list(args.probs, "--probs") if getattr(args, "probs", None) else None
+    probs = _parse_list(args.probs, "--probs") if getattr(args, "probs", None) is not None else None
     return BellFamily.from_squared(args.a2, args.c2), probs, {"a2": args.a2, "c2": args.c2}
 
 
@@ -199,7 +199,7 @@ def _cmd_convert(args) -> dict:
 
 
 def _cmd_sweep(args) -> None:
-    probs = _parse_list(args.probs, "--probs") if args.probs else None
+    probs = _parse_list(args.probs, "--probs") if args.probs is not None else None
     which = _parse_list(args.which, "--which", int)
     records = run_sweep(args.mode, grid_n=args.grid_n, probs=probs, which=which)
     try:

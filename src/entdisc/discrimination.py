@@ -117,12 +117,10 @@ def pointer_spectra(member_mats: np.ndarray, probs: Sequence[float]) -> np.ndarr
     n, dim_a, dim_b = member_mats[0].shape
     # Axes (n, a, c, b, d): the AC and BD index pairs are adjacent, so the
     # final reshape to (n, 2 dim_a, 2 dim_b) is a view.
-    composite = np.zeros((n, dim_a, 2, dim_b, 2), dtype=np.result_type(member_mats[0], float))
-    term = np.empty_like(composite)
-    for psi, prob, phi in zip(member_mats, probs, BELL_MATRICES):
-        np.multiply(psi[:, :, None, :, None], phi[None, None, :, None, :], out=term)
-        term *= np.sqrt(prob)
-        composite += term
+    composite = sum(
+        psi[:, :, None, :, None] * phi[None, None, :, None, :] * np.sqrt(prob)
+        for psi, prob, phi in zip(member_mats, probs, BELL_MATRICES)
+    )
     return np.linalg.svd(composite.reshape(n, 2 * dim_a, 2 * dim_b), compute_uv=False) ** 2
 
 

@@ -109,12 +109,12 @@ def _padded_desc(x: np.ndarray, n: int) -> np.ndarray:
 def majorized_rows(x_desc: np.ndarray, y_desc: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The partial-sum test: is ``x_desc`` majorized by ``y_desc``, row by row?
 
-    Each side is one descending vector or one per row; the shorter side's last axis is zero-padded.
+    Each side is one descending vector or one per row, the shorter zero-padded; the total (last sum) is skipped.
     """
     n = max(x_desc.shape[-1], y_desc.shape[-1])
     cx = np.cumsum(_padded_desc(x_desc, n), axis=-1)
     cy = np.cumsum(_padded_desc(y_desc, n), axis=-1)
-    return np.all(cx <= cy + tol, axis=-1)
+    return np.all(cx[..., :-1] <= cy[..., :-1] + tol, axis=-1)
 
 
 def majorizes(x: ProbVector, y: ProbVector, tol: float = DEFAULT_TOL) -> bool:

@@ -1,11 +1,11 @@
 """Parameter-grid scans over the family's (a^2, c^2) square, emitted as CSV.
 
-Grid points are independent; the scans below evaluate them as one batch
-through the pointer-spectrum kernel of :mod:`entdisc.discrimination` (the
-same code a per-point call runs as a batch of one) and the closed-form
-resource bound. Results are kept as numpy columns and read as a sequence of
-records; rows are emitted in deterministic row-major order (outer loop a^2,
-inner loop c^2), so repeated runs produce byte-identical output.
+Grid points are independent; the scans below evaluate them a block at a time,
+whenever results are read or written, through the pointer-spectrum kernel of
+:mod:`entdisc.discrimination` (the same code a per-point call runs as a batch
+of one) and the closed-form resource bound. Rows come in deterministic
+row-major order (outer loop a^2, inner loop c^2), so repeated runs produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -40,14 +40,15 @@ CSV_HEADER = "a2,c2,avg_ent_ebits,feasible_unassisted,alpha2_max,assist_cost_ebi
 
 DEFAULT_GRID_N = 101
 
-# Largest lattice per axis, since memory grows with grid_n^2; 1001 is the
+# Largest lattice per axis, since time grows with grid_n^2; 1001 is the
 # largest grid the performance plan (ROADMAP aim 1) times.
 MAX_GRID_N = 1001
 
 _FIELDS = tuple(CSV_HEADER.split(","))
 
-# Rows formatted per step of records_to_csv: bounds the Python objects alive
-# at once, whatever the grid size.
+# Lattice points computed, formatted and written per block: bounds the arrays
+# and Python objects alive at once, whatever the grid size, while keeping
+# kernel batches large enough that per-call overhead does not show.
 CSV_CHUNK_ROWS = 4096
 
 # Characters handed to one write call by write_csv: a text file object
@@ -70,28 +71,36 @@ class SweepRecord:
 
 
 class SweepTable(Sequence):
-    """Read-only sweep results held as numpy columns, one per CSV field.
+    """Read-only sweep results over a range of lattice points, computed CSV_CHUNK_ROWS at a time when read.
 
     Behaves as a sequence of :class:`SweepRecord`: ``len``, iteration and
     integer indexes (negative ones too) build records on demand, and a slice
-    returns another table over views of the same columns. Columns a mode
-    does not populate are absent and read as None. The constructor keeps the
-    arrays it is given and marks them read-only.
+    returns another table over the sliced range. Only the scan's inputs are
+    held, never an array the size of the lattice. Absent columns read as None.
     """
 
-    def __init__(self, columns: dict[str, np.ndarray]):
-        self._columns = {name: columns[name] for name in _FIELDS if name in columns}
-        for column in self._columns.values():
-            column.setflags(write=False)
+    def __init__(self, scan: tuple, points: range):
+        self._scan, self._points = scan, points
 
     def __len__(self) -> int:
-        return self._columns["a2"].size
+        return len(self._points)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return SweepTable({name: col[index] for name, col in self._columns.items()})
-        k = range(len(self))[index]
-        return SweepRecord(**{name: col.item(k) for name, col in self._columns.items()})
+            return SweepTable(self._scan, self._points[index])
+        k = self._points[index]
+        return next(iter(SweepTable(self._scan, range(k, k + 1))))
+
+    def __iter__(self) -> Iterator[SweepRecord]:
+        for columns in self._blocks():
+            yield from (SweepRecord(**dict(zip(columns, row))) for row in zip(*(c.tolist() for c in columns.values())))
+
+    def __reversed__(self) -> Iterator[SweepRecord]:
+        return iter(self[::-1])
+
+    def _blocks(self) -> Iterator[dict[str, np.ndarray]]:
+        for start in range(0, len(self), CSV_CHUNK_ROWS):
+            yield _scan_columns(*self._scan, self._points[start : start + CSV_CHUNK_ROWS])
 
 
 def avg_entanglement(family: BellFamily, probs: Sequence[float] | None = None) -> float:
@@ -121,7 +130,7 @@ def run_sweep(
 ) -> SweepTable:
     """Evaluate one analysis mode on the uniform grid_n x grid_n lattice over [0.5, 1]^2.
 
-    Returns a read-only sequence of records over numpy columns. Modes:
+    Returns a read-only sequence of records, computed when read. Modes:
       * ``assist``: unassisted feasibility plus the assisted-resource bound
         and its entropy cost (the resource bound itself always uses equal
         priors, matching ``assisted_alpha2_max``).
@@ -136,38 +145,35 @@ def run_sweep(
         raise ValidationError(f"grid_n must be between 2 and {MAX_GRID_N}, got {grid_n}")
     probs = check_family_priors(probs, 3 if mode == "feasible3" else 4)
     indices = check_which(which) if mode == "feasible3" else range(4)
+    return SweepTable((mode, np.linspace(0.5, 1.0, grid_n), probs, indices), range(grid_n**2))
 
-    axis = np.linspace(0.5, 1.0, grid_n)
-    # Per-axis values as a column (a^2 varies down the rows) and a row (c^2
-    # across them): an operation between the two broadcasts to the lattice in
-    # row-major order and yields, point by point, what the same elementwise
-    # operations give on the full-length a2 and c2 columns.
-    rows, cols = axis[:, None], axis[None, :]
-    h_rows, h_cols = _binary_entropy_rows(rows), _binary_entropy_rows(cols)
-    member_entropy = (h_rows, h_rows, h_cols, h_cols)
-    columns = {
-        "a2": np.repeat(axis, grid_n),
-        "c2": np.tile(axis, grid_n),
-        "avg_ent_ebits": sum(p * member_entropy[i] for p, i in zip(probs, indices)).ravel(),
-    }
 
+def _scan_columns(mode: str, axis: np.ndarray, probs: list[float], indices, points: range) -> dict[str, np.ndarray]:
+    """One mode's columns at the flat lattice points ``points``: point k is (axis[k // n], axis[k % n]).
+
+    Axis entropies are gathered and the rest is elementwise, so no value depends on the block.
+    """
+    rows, cols = np.divmod(np.arange(points.start, points.stop, points.step), axis.size)
+    a2, c2 = axis[rows], axis[cols]
+    h = _binary_entropy_rows(axis)
+    member_entropy = (h[rows], h[rows], h[cols], h[cols])
+    columns = {"a2": a2, "c2": c2, "avg_ent_ebits": sum(p * member_entropy[i] for p, i in zip(probs, indices))}
     if mode == "preserve":
         # Each member's self-tensored spectrum is already sorted, so the
         # mixture is the component-wise weighted sum (x^2, xy, xy, y^2),
         # whose two equal cross terms are computed once.
         w_a, w_c = probs[0] + probs[1], probs[2] + probs[3]
-        b2, d2 = 1.0 - rows, 1.0 - cols
-        cross = _entropy_terms(w_a * rows * b2 + w_c * cols * d2)
-        cost = _entropy_terms(w_a * rows**2 + w_c * cols**2)
+        b2, d2 = 1.0 - a2, 1.0 - c2
+        cross = _entropy_terms(w_a * a2 * b2 + w_c * c2 * d2)
+        cost = _entropy_terms(w_a * a2**2 + w_c * c2**2)
         cost += cross
         cost += cross
         cost += _entropy_terms(w_a * b2**2 + w_c * d2**2)
         # Clamped at 0 like entropy_bits: priors summing to 1 only within
         # rounding can leave a -1e-16 cost at the product corner.
-        columns["preserve_cost_ebits"] = np.maximum(cost, 0.0, out=cost).ravel()
-        return SweepTable(columns)
+        columns["preserve_cost_ebits"] = np.maximum(cost, 0.0, out=cost)
+        return columns
 
-    a2, c2 = columns["a2"], columns["c2"]
     members = family_matrices(np.sqrt(a2), np.sqrt(1.0 - a2), np.sqrt(c2), np.sqrt(1.0 - c2))
     lam = pointer_spectra([members[i] for i in indices], probs)
     columns["feasible_unassisted"] = pointer_majorized(lam)
@@ -176,7 +182,7 @@ def run_sweep(
             lam = pointer_spectra(members, (0.25,) * 4)
         columns["alpha2_max"] = alpha2 = alpha2_max_from_lambda(lam[:, 0])
         columns["assist_cost_ebits"] = _binary_entropy_rows(alpha2)
-    return SweepTable(columns)
+    return columns
 
 
 def format_value(value) -> str:
@@ -188,30 +194,19 @@ def format_value(value) -> str:
     return format(value, ".12g")
 
 
-def _csv_chunks(columns: dict[str, np.ndarray], size: int) -> Iterator[str]:
-    """CSV rows, CSV_CHUNK_ROWS at a time, each formatted by one %-pattern.
-
-    Float columns print with %.12g (the same text as format_value), boolean
-    columns as true/false, and absent columns as empty fields.
-    """
-    patterns, cells = [], []
-    for name in _FIELDS:
-        column = columns.get(name)
-        if column is None:
-            patterns.append("")
-            continue
-        patterns.append("%s" if column.dtype.kind == "b" else "%.12g")
-        cells.append(np.where(column, "true", "false") if column.dtype.kind == "b" else column)
+def _csv_rows(columns: dict[str, np.ndarray]) -> str:
+    """One block's CSV rows by one %-pattern: %.12g floats (format_value's text), true/false, empty if absent."""
+    present = [columns[name] for name in _FIELDS if name in columns]
+    patterns = ("" if name not in columns else "%s" if columns[name].dtype == bool else "%.12g" for name in _FIELDS)
     row = ",".join(patterns) + "\n"
-    for start in range(0, size, CSV_CHUNK_ROWS):
-        chunk = zip(*(column[start : start + CSV_CHUNK_ROWS].tolist() for column in cells))
-        yield "".join([row % values for values in chunk])
+    cells = [np.where(column, "true", "false") if column.dtype == bool else column for column in present]
+    return "".join([row % values for values in zip(*(column.tolist() for column in cells))])
 
 
 def records_to_csv(records: Sequence[SweepRecord]) -> str:
     """Render records under the fixed header: a SweepTable by columns, other records row by row."""
     if isinstance(records, SweepTable):
-        rows = _csv_chunks(records._columns, len(records))
+        rows = map(_csv_rows, records._blocks())
     else:
         rows = (",".join([format_value(getattr(r, name)) for name in _FIELDS]) + "\n" for r in records)
     return "".join([CSV_HEADER, "\n", *rows])
@@ -220,13 +215,20 @@ def records_to_csv(records: Sequence[SweepRecord]) -> str:
 def write_csv(records: Sequence[SweepRecord], destination) -> None:
     """Write the CSV rendering to a path or text file object (UTF-8, LF).
 
-    The text goes out in WRITE_SLICE_CHARS slices, one write call each.
+    Records go through records_to_csv CSV_CHUNK_ROWS at a time and the text out in
+    WRITE_SLICE_CHARS slices, one write call each, so the whole text is never held.
     """
-    text = records_to_csv(records)
+    records = records if isinstance(records, Sequence) else list(records)
     if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
         sink = open(destination, "w", encoding="utf-8", newline="")
     else:
         sink = contextlib.nullcontext(destination)
     with sink as handle:
-        for start in range(0, len(text), WRITE_SLICE_CHARS):
-            handle.write(text[start : start + WRITE_SLICE_CHARS])
+        held = ""
+        for start in range(0, max(len(records), 1), CSV_CHUNK_ROWS):
+            held += records_to_csv(records[start : start + CSV_CHUNK_ROWS])[len(CSV_HEADER) + 1 if start else 0 :]
+            while len(held) >= WRITE_SLICE_CHARS:
+                handle.write(held[:WRITE_SLICE_CHARS])
+                held = held[WRITE_SLICE_CHARS:]
+        if held:
+            handle.write(held)

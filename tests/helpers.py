@@ -3,10 +3,13 @@
 The oracles deliberately avoid the library's own code paths: spectra come
 from a dense eigensolve of the reduced density matrix (the package uses SVD),
 entropies from a plain Python loop, and the resource boundary from a brute
-grid scan (the package uses the closed form). ``RecordingWriter`` stands in
-for a text file to show how output reaches it.
+grid scan (the package uses the closed form), and pointer-state top
+eigenvalues from the four-state X-block closed form or an index-loop
+eigensolve (the package uses a batched SVD). ``RecordingWriter`` stands in
+for a text file to show how output reaches it, and ``NullWriter`` discards it.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -75,6 +78,51 @@ def alpha2_max_scan(lam: np.ndarray, step: float = 1e-4) -> float:
     return float("nan")
 
 
+def xblock_lambda_max(a2: float, c2: float, probs) -> float:
+    """Top pointer-state eigenvalue of the four-member family, by the X-block closed form.
+
+    With Bell pointers the 4x4 composite on the AC:BD cut is diagonal plus
+    anti-diagonal, so it splits into the 2x2 blocks on indices {0, 3} and
+    {1, 2}. A 2x2 block B has top squared singular value
+    (F + sqrt(F^2 - 4 det^2)) / 2 with F = |B|_F^2; lambda_1 is the larger of
+    the two. Any priors; no eigensolver.
+    """
+    a, b, c, d = math.sqrt(a2), math.sqrt(1.0 - a2), math.sqrt(c2), math.sqrt(1.0 - c2)
+    s0, s1, s2, s3 = (math.sqrt(p) for p in probs)
+    blocks = (
+        (s0 * a + s1 * b, s2 * c + s3 * d, s2 * d + s3 * c, s0 * b + s1 * a),
+        (s0 * a - s1 * b, s2 * c - s3 * d, s2 * d - s3 * c, s0 * b - s1 * a),
+    )
+    tops = []
+    for m00, m01, m10, m11 in blocks:
+        # every entry carries the pointers' 1/sqrt(2), hence the factors 1/2
+        f = (m00**2 + m01**2 + m10**2 + m11**2) / 2.0
+        det = (m00 * m11 - m01 * m10) / 2.0
+        tops.append((f + math.sqrt(max(f * f - 4.0 * det * det, 0.0))) / 2.0)
+    return max(tops)
+
+
+def family_member_matrices(a2: float, c2: float) -> list:
+    """The family's 2x2 coefficient matrices, written out from its definition."""
+    a, b, c, d = math.sqrt(a2), math.sqrt(1.0 - a2), math.sqrt(c2), math.sqrt(1.0 - c2)
+    return [[[a, 0.0], [0.0, b]], [[b, 0.0], [0.0, -a]], [[0.0, c], [d, 0.0]], [[0.0, d], [-c, 0.0]]]
+
+
+def loop_lambda_max(members, probs) -> float:
+    """Top pointer-state eigenvalue by an index-loop build and a dense eigensolve.
+
+    Member k (a 2x2 coefficient matrix) is weighted by sqrt(probs[k]) and
+    paired with the k-th Bell state; the AC:BD composite is filled entry by
+    entry and lambda_1 is the top eigenvalue of M M^T.
+    """
+    bell = family_member_matrices(0.5, 0.5)
+    m = np.zeros((4, 4))
+    for k, (psi, p) in enumerate(zip(members, probs)):
+        for i, j, x, y in itertools.product(range(2), repeat=4):
+            m[2 * i + x, 2 * j + y] += math.sqrt(p) * psi[i][j] * bell[k][x][y]
+    return float(np.linalg.eigvalsh(m @ m.T)[-1])
+
+
 class RecordingWriter:
     """A text sink that keeps every string passed to ``write``."""
 
@@ -83,3 +131,10 @@ class RecordingWriter:
 
     def write(self, text):
         self.writes.append(text)
+
+
+class NullWriter:
+    """A text sink that drops what it is given, so only the writer's own memory shows."""
+
+    def write(self, text):
+        return len(text)

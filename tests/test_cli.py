@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import entdisc
-from entdisc import records_to_csv, run_sweep
+from entdisc import BellFamily, perfect_discrimination_feasible, records_to_csv, run_sweep
 from entdisc.cli import load_ensemble_file, main
 from entdisc.sweep import WRITE_SLICE_CHARS
 from helpers import RecordingWriter
@@ -524,6 +524,22 @@ class TestInputContract:
     def test_tol_zero_accepted(self, capsys):
         result = get_json(capsys, "discriminate", "--a2", "1", "--c2", "1", "--tol", "0", "--json")
         assert result["feasible_unassisted"] is True
+
+    @pytest.mark.parametrize(
+        "argv", [["discriminate", "--a2", "0.9", "--c2", "0.9"], ["sweep", "--mode", "preserve", "--grid-n", "2"]]
+    )
+    def test_empty_probs_is_an_empty_list(self, capsys, argv):
+        # --probs "" used to be read as no priors and ran with equal ones
+        assert self.assert_rejected(capsys, *argv, "--probs", "") == "error: expected 4 probabilities, got 0"
+
+    def test_tol_zero_verdict_ignores_round_off_of_the_total(self, capsys):
+        # the last partial sum is the total, 1 on both sides; it landed one
+        # ulp off here and flipped the family call's verdict at --tol 0
+        family = BellFamily.from_squared(0.5, 0.6425000000000001)
+        probs = [0.97, 0.01, 0.01, 0.01]
+        assert perfect_discrimination_feasible(family, probs, tol=0.0) is True
+        argv = ["--a2", "0.5", "--c2", "0.6425000000000001", "--probs", "0.97,0.01,0.01,0.01", "--tol", "0", "--json"]
+        assert get_json(capsys, "discriminate", *argv)["feasible_unassisted"] is True
 
 
 class TestSweepCallChain:

@@ -3,7 +3,9 @@
 A lattice point of a small grid, priors and a three-member subset are drawn.
 The ``--json`` output of the per-point subcommands must equal the library
 calls exactly (JSON prints floats in full), and that point's row of each
-sweep mode must agree with the same calls at 12 significant digits.
+sweep mode must agree with the same calls at 12 significant digits and with
+independent oracles: the X-block closed form of the four-state lambda_1 and
+an index-loop eigensolve for the three-state subset.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entdisc import (
+    DEFAULT_TOL,
     BellFamily,
     assisted_alpha2_max,
     binary_entropy,
@@ -26,6 +29,7 @@ from entdisc import (
 )
 from entdisc.cli import main
 from entdisc.sweep import CSV_HEADER
+from helpers import family_member_matrices, loop_lambda_max, xblock_lambda_max
 
 FIELDS = CSV_HEADER.split(",")
 POINTS = st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1), st.integers(0, n - 1)))
@@ -45,6 +49,12 @@ def run(*argv) -> str:
 
 def probs_flag(probs) -> list[str]:
     return [] if probs is None else ["--probs", ",".join(map(repr, probs))]
+
+
+def assert_verdict(cell: str, lam_max: float):
+    """A CSV verdict against lambda_1 <= 1/2 + tol, either way within 1e-12 of that edge."""
+    if abs(lam_max - 0.5 - DEFAULT_TOL) > 1e-12:
+        assert cell == ("true" if lam_max <= 0.5 + DEFAULT_TOL else "false"), (cell, lam_max)
 
 
 def assert_row(row: dict, expected: dict):
@@ -99,7 +109,18 @@ def test_cli_matches_library(point, p4, p3, which):
         "preserve": (probs_flag(p4), {"avg_ent_ebits": avg4, "preserve_cost_ebits": cost}),
         "feasible3": (probs_flag(p3) + subset, {"avg_ent_ebits": avg3, "feasible_unassisted": feasible3}),
     }
+    rows = {}
     for mode, (flags, values) in sweeps.items():
         lines = run("sweep", "--mode", mode, "--grid-n", str(grid_n), *flags).splitlines()
-        row = dict(zip(FIELDS, lines[1 + i * grid_n + j].split(",")))
+        rows[mode] = row = dict(zip(FIELDS, lines[1 + i * grid_n + j].split(",")))
         assert_row(row, {"a2": a2, "c2": c2, **values})
+
+    # the same rows against oracles that share no code with the kernel: the
+    # four-state X-block closed form and an index-loop eigensolve for the subset
+    assert_verdict(rows["assist"]["feasible_unassisted"], xblock_lambda_max(a2, c2, p4 or [0.25] * 4))
+    members = family_member_matrices(a2, c2)
+    lam3 = loop_lambda_max([members[k] for k in which], p3 or [1 / 3] * 3)
+    assert_verdict(rows["feasible3"]["feasible_unassisted"], lam3)
+    lam = xblock_lambda_max(a2, c2, [0.25] * 4)
+    alpha2 = 1.0 if lam <= 0.5 + DEFAULT_TOL else 0.5 / lam
+    assert math.isclose(float(rows["assist"]["alpha2_max"]), alpha2, rel_tol=1e-11)

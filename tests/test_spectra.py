@@ -11,6 +11,7 @@ from entdisc import (
     pad,
     tensor,
 )
+from entdisc.spectra import majorized_rows
 from helpers import majorized_image, random_prob_vector
 
 
@@ -67,6 +68,14 @@ class TestMajorizes:
         x, y = ProbVector([0.61, 0.39]), ProbVector([0.6, 0.4])
         assert not majorizes(x, y)
         assert majorizes(x, y, tol=0.02)
+
+    def test_total_is_not_compared(self):
+        # the last partial sum is the total, 1 on both sides by normalization;
+        # a spectrum whose total rounds one ulp above 1 used to fail at tol 0
+        x = np.array([0.25 + 2.0**-52, 0.25, 0.25, 0.25])
+        assert np.cumsum(x)[-1] > 1.0
+        assert majorized_rows(x, np.array([0.5, 0.5]), tol=0.0)
+        assert not majorized_rows(np.array([0.5 + 2.0**-52, 0.5 - 2.0**-52]), np.array([0.5, 0.5]), tol=0.0)
 
     def test_reflexivity_random(self):
         rng = np.random.default_rng(7)

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from entdisc import (
     three_state_feasible,
     write_csv,
 )
-from entdisc.sweep import MAX_GRID_N, WRITE_SLICE_CHARS
-from helpers import RecordingWriter
+import entdisc.sweep
+from entdisc.sweep import CSV_CHUNK_ROWS, MAX_GRID_N, WRITE_SLICE_CHARS
+from helpers import NullWriter, RecordingWriter
 
 
 def inverse_binary_entropy_upper(target: float) -> float:
@@ -111,7 +113,7 @@ class TestRunSweep:
         with pytest.raises(IndexError):
             records[-17]
         assert list(records[3:9:2]) == rows[3:9:2]
-        assert list(records[::-1]) == rows[::-1]
+        assert list(records[::-1]) == list(reversed(records)) == rows[::-1]
         assert len(records[5:5]) == 0
         assert isinstance(records[0].feasible_unassisted, bool)
         assert type(records[0].alpha2_max) is float
@@ -371,3 +373,50 @@ class TestCsv:
         target = tmp_path / "out.csv"
         write_csv(records, target)
         assert target.read_bytes() == text.encode("utf-8")
+
+
+class TestStreaming:
+    def test_integer_indexes_across_blocks_match_the_csv(self):
+        # a record is computed alone, as a block of one, and must print as
+        # its row of the whole CSV, on either side of every block boundary
+        table = run_sweep("assist", 101, probs=[0.4, 0.3, 0.2, 0.1])
+        lines = records_to_csv(table).splitlines()
+        n = len(table)
+        for k in (0, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, 2 * CSV_CHUNK_ROWS - 1, 2 * CSV_CHUNK_ROWS, n - 1, -1,
+                  -(n - CSV_CHUNK_ROWS), -(n - CSV_CHUNK_ROWS) - 1, -n):
+            assert records_to_csv([table[k]]).splitlines()[1] == lines[1 + range(n)[k]], k
+
+    def test_slices_of_slices(self):
+        table = run_sweep("feasible3", 101, which=(3, 0, 2))
+        rows = list(table)
+        nested = table[5:9000:13][::-1][::2]
+        assert list(nested) == rows[5:9000:13][::-1][::2]
+        assert records_to_csv(nested) == records_to_csv(rows[5:9000:13][::-1][::2])
+
+    @pytest.mark.parametrize("mode", ["assist", "preserve"])
+    def test_write_memory_flat_in_grid_n(self, mode, monkeypatch):
+        # write_csv computes, formats and writes one block at a time, so the
+        # memory it allocates does not grow with the lattice: grid 301 has 4
+        # times grid 151's points, and its traced peak stays within 1.5 times.
+        # From grid 151 on, the CSV (1.26 MB for preserve) fills the 1 MiB
+        # write slice that write_csv holds; grid 101's does not. With
+        # whole-lattice columns and a whole CSV text, both modes peaked 4 times
+        # higher at grid 301 than at grid 151.
+        batches = []
+
+        def spy(member_mats, probs, _original=entdisc.sweep.pointer_spectra):
+            batches.append(len(member_mats[0]))
+            return _original(member_mats, probs)
+
+        monkeypatch.setattr(entdisc.sweep, "pointer_spectra", spy)
+        peaks = {}
+        for grid_n in (151, 301):
+            tracemalloc.start()
+            try:
+                write_csv(run_sweep(mode, grid_n), NullWriter())
+                peaks[grid_n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[301] <= 1.5 * peaks[151], peaks
+        assert max(batches, default=0) <= CSV_CHUNK_ROWS
+        assert (len(batches) > 0) == (mode == "assist")

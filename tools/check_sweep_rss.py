@@ -1,0 +1,53 @@
+"""Check that a sweep's peak memory does not grow with the lattice.
+
+Runs ``entdisc sweep --out`` for each mode at grid 101 and at grid 1001, each
+in its own child process, and reads the child's peak RSS (``ru_maxrss``) from
+``os.wait4``. Exits 1 if any mode's grid-1001 peak is more than RATIO times
+its grid-101 peak. Standard library only, so this process stays small: a
+child's peak RSS also counts the memory it shared with this process before it
+started the interpreter.
+
+    python3 tools/check_sweep_rss.py
+
+The package is taken from ``src/`` beside this script.
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+import time
+
+MODES = ("assist", "preserve", "feasible3")
+GRIDS = (101, 1001)
+RATIO = 1.5
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_sweep(mode: str, grid_n: int, out: str) -> tuple[float, float]:
+    """Wall seconds and peak RSS in MB of one ``sweep --out`` process."""
+    argv = [sys.executable, "-m", "entdisc.cli", "sweep", "--mode", mode, "--grid-n", str(grid_n), "--out", out]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    child = subprocess.Popen(argv, env=env)
+    _, status, usage = os.wait4(child.pid, 0)
+    if status != 0:
+        sys.exit(f"sweep --mode {mode} --grid-n {grid_n} failed with wait status {status}")
+    return time.perf_counter() - start, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+
+
+def main() -> int:
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "sweep.csv")
+        for mode in MODES:
+            (_, small), (seconds, large) = (run_sweep(mode, grid_n, out) for grid_n in GRIDS)
+            ok = large <= RATIO * small
+            failed |= not ok
+            print(f"{mode:9} grid {GRIDS[0]} {small:6.1f} MB  grid {GRIDS[1]} {large:6.1f} MB "
+                  f"({seconds:.1f} s)  {'ok' if ok else f'FAIL: more than {RATIO}x'}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
