@@ -81,32 +81,29 @@ def load_ensemble_file(path: str) -> Ensemble:
         raise ValidationError("ensemble file must contain a JSON object")
     if ("family" in data) == ("states" in data):
         raise ValidationError("ensemble file must contain exactly one of 'family' or 'states'")
+    probs = data.get("probs")
+    if isinstance(probs, list):
+        probs = _json_floats(probs, "'probs'")
 
     if "family" in data:
         entry = data["family"]
         if not isinstance(entry, dict) or "a2" not in entry or "c2" not in entry:
             raise ValidationError("'family' must be an object with keys 'a2' and 'c2'")
-        try:
-            a2, c2 = float(entry["a2"]), float(entry["c2"])
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"'family' values must be numbers: {exc}") from None
-        return _family_ensemble(BellFamily.from_squared(a2, c2), data.get("probs"))
+        a2, c2 = _json_floats([entry["a2"], entry["c2"]], "'family' values")
+        return _family_ensemble(BellFamily.from_squared(a2, c2), probs)
 
     raw_states = data["states"]
     if "probs" not in data:
         raise ValidationError("'states' ensembles require an explicit 'probs' list")
-    probs = data["probs"]
     if not (isinstance(raw_states, list) and isinstance(probs, list) and len(raw_states) == len(probs)):
         raise ValidationError("'states' and 'probs' must be lists of equal length")
     states, renormalized = [], []
     for idx, entry in enumerate(raw_states):
         try:
             dims = entry["dim_a"], entry["dim_b"]
-            amps = np.array(
-                [complex(*pair) if isinstance(pair, (list, tuple)) else complex(pair)
-                 for pair in entry["amplitudes"]]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            parts = [pair if isinstance(pair, list) else [pair] for pair in entry["amplitudes"]]
+            amps = np.array([complex(*_json_floats(part, f"state {idx} amplitudes")) for part in parts])
+        except (KeyError, TypeError) as exc:
             raise ValidationError(f"state {idx} is malformed: {exc}")
         norm = float(np.linalg.norm(amps))
         if not abs(norm - 1.0) <= FILE_NORM_TOL:
@@ -121,6 +118,16 @@ def load_ensemble_file(path: str) -> Ensemble:
     for message in renormalized:
         warnings.warn(message, stacklevel=2)
     return ensemble
+
+
+def _json_floats(values: list, what: str) -> list[float]:
+    """``values`` as floats if each is a JSON number (a boolean is not one); anything else exits 2."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise ValidationError(f"{what} must be JSON numbers")
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise ValidationError(f"{what} must be JSON numbers within float range") from None
 
 
 def _jsonable(value):

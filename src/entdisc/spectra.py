@@ -21,6 +21,7 @@ __all__ = [
     "binary_entropy",
     "check_probabilities",
     "entropy_bits",
+    "entropy_terms",
     "majorized_rows",
     "majorizes",
     "mix",
@@ -155,14 +156,22 @@ def mix(weighted: Iterable[tuple[float, ProbVector]]) -> ProbVector:
     return ProbVector(out)
 
 
+def entropy_terms(values):
+    """Elementwise -v*log2(v) for v >= 0, with 0*log(0) = 0: the one entropy rule, for arrays and scalars."""
+    # Adding (v == 0) turns only the zeros into ones, whose log is 0, and
+    # costs a scalar far less than np.where; 0.0 - x never yields -0.0.
+    return 0.0 - values * np.log2(values + (values == 0.0))
+
+
 def entropy_bits(x: ProbVector) -> float:
     """Shannon entropy of the vector in bits, with 0*log(0) = 0.
 
     Clamped at 0: entries summing to 1 only within rounding can otherwise
     give a negative value of order 1e-16 for a near-pure vector.
     """
-    lam = x.entries[x.entries > 0.0]
-    return max(float(-(lam * np.log2(lam)).sum()), 0.0) + 0.0  # +0.0 normalizes -0.0 away
+    # Only the positive entries are summed: zero terms would regroup numpy's
+    # pairwise sum and could move the last bit.
+    return max(float(entropy_terms(x.entries[x.entries > 0.0]).sum()), 0.0)
 
 
 def binary_entropy(p: float) -> float:
@@ -170,9 +179,4 @@ def binary_entropy(p: float) -> float:
     if p < -NEG_ENTRY_TOL or p > 1.0 + NEG_ENTRY_TOL:
         raise ValidationError(f"binary entropy argument {p!r} outside [0, 1]")
     p = min(max(p, 0.0), 1.0)
-    out = 0.0
-    if p > 0.0:
-        out -= p * np.log2(p)
-    if p < 1.0:
-        out -= (1.0 - p) * np.log2(1.0 - p)
-    return float(out)
+    return float(entropy_terms(p) + entropy_terms(1.0 - p))

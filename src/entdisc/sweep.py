@@ -10,7 +10,9 @@ byte-identical output.
 
 from __future__ import annotations
 
-import contextlib
+import errno
+import os
+import stat
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from .discrimination import alpha2_max_from_lambda, pointer_majorized, pointer_spectra
 from .errors import ValidationError
-from .spectra import binary_entropy
+from .spectra import binary_entropy, entropy_terms
 from .states import BellFamily, check_family_priors, check_which, family_matrices
 
 __all__ = [
@@ -50,11 +52,6 @@ _FIELDS = tuple(CSV_HEADER.split(","))
 # and Python objects alive at once, whatever the grid size, while keeping
 # kernel batches large enough that per-call overhead does not show.
 CSV_CHUNK_ROWS = 4096
-
-# Characters handed to one write call by write_csv: a text file object
-# encodes each write whole, so one call with the whole CSV would hold a
-# second, encoded copy of it.
-WRITE_SLICE_CHARS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -112,14 +109,8 @@ def avg_entanglement(family: BellFamily, probs: Sequence[float] | None = None) -
     return float(sum(p * e for p, e in zip(probs, member_entropy)))
 
 
-def _entropy_terms(values: np.ndarray) -> np.ndarray:
-    """Elementwise -v*log2(v) with 0*log(0) = 0."""
-    safe = np.where(values > 0.0, values, 1.0)
-    return -values * np.log2(safe) + 0.0  # +0.0 normalizes -0.0 away
-
-
 def _binary_entropy_rows(p: np.ndarray) -> np.ndarray:
-    return _entropy_terms(p) + _entropy_terms(1.0 - p)
+    return entropy_terms(p) + entropy_terms(1.0 - p)
 
 
 def run_sweep(
@@ -164,11 +155,11 @@ def _scan_columns(mode: str, axis: np.ndarray, probs: list[float], indices, poin
         # whose two equal cross terms are computed once.
         w_a, w_c = probs[0] + probs[1], probs[2] + probs[3]
         b2, d2 = 1.0 - a2, 1.0 - c2
-        cross = _entropy_terms(w_a * a2 * b2 + w_c * c2 * d2)
-        cost = _entropy_terms(w_a * a2**2 + w_c * c2**2)
+        cross = entropy_terms(w_a * a2 * b2 + w_c * c2 * d2)
+        cost = entropy_terms(w_a * a2**2 + w_c * c2**2)
         cost += cross
         cost += cross
-        cost += _entropy_terms(w_a * b2**2 + w_c * d2**2)
+        cost += entropy_terms(w_a * b2**2 + w_c * d2**2)
         # Clamped at 0 like entropy_bits: priors summing to 1 only within
         # rounding can leave a -1e-16 cost at the product corner.
         columns["preserve_cost_ebits"] = np.maximum(cost, 0.0, out=cost)
@@ -212,23 +203,47 @@ def records_to_csv(records: Sequence[SweepRecord]) -> str:
     return "".join([CSV_HEADER, "\n", *rows])
 
 
+def _write_blocks(records: Sequence[SweepRecord], handle) -> None:
+    for start in range(0, max(len(records), 1), CSV_CHUNK_ROWS):
+        handle.write(records_to_csv(records[start : start + CSV_CHUNK_ROWS])[len(CSV_HEADER) + 1 if start else 0 :])
+
+
 def write_csv(records: Sequence[SweepRecord], destination) -> None:
     """Write the CSV rendering to a path or text file object (UTF-8, LF).
 
-    Records go through records_to_csv CSV_CHUNK_ROWS at a time and the text out in
-    WRITE_SLICE_CHARS slices, one write call each, so the whole text is never held.
+    Records go through records_to_csv CSV_CHUNK_ROWS at a time, and each block's
+    text goes out in one write call, so the whole text is never held. A path
+    that is absent or a regular file (symlinks resolved) is written all or
+    nothing: to a new file beside it, renamed over it at the end and removed
+    on any failure or interrupt; an existing file keeps its permission bits.
+    Any other existing path, such as a FIFO or a device, is written in place.
     """
     records = records if isinstance(records, Sequence) else list(records)
-    if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
-        sink = open(destination, "w", encoding="utf-8", newline="")
-    else:
-        sink = contextlib.nullcontext(destination)
-    with sink as handle:
-        held = ""
-        for start in range(0, max(len(records), 1), CSV_CHUNK_ROWS):
-            held += records_to_csv(records[start : start + CSV_CHUNK_ROWS])[len(CSV_HEADER) + 1 if start else 0 :]
-            while len(held) >= WRITE_SLICE_CHARS:
-                handle.write(held[:WRITE_SLICE_CHARS])
-                held = held[WRITE_SLICE_CHARS:]
-        if held:
-            handle.write(held)
+    if not (isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__")):
+        return _write_blocks(records, destination)
+    name = os.fsdecode(destination)
+    try:
+        mode = os.stat(name).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(name, "w", encoding="utf-8", newline="") as handle:
+            return _write_blocks(records, handle)
+    path = os.path.realpath(name)
+    if mode is not None and not os.access(path, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), name)
+    head, tail = os.path.split(path)
+    temp = os.path.join(head, f".{tail}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    try:
+        handle = open(temp, "x", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, name) from None
+    try:
+        with handle:
+            if mode is not None:
+                os.chmod(temp, stat.S_IMODE(mode))
+            _write_blocks(records, handle)
+        os.replace(temp, path)
+    except BaseException:
+        os.remove(temp)
+        raise

@@ -6,7 +6,8 @@ entropies from a plain Python loop, and the resource boundary from a brute
 grid scan (the package uses the closed form), and pointer-state top
 eigenvalues from the four-state X-block closed form or an index-loop
 eigensolve (the package uses a batched SVD). ``RecordingWriter`` stands in
-for a text file to show how output reaches it, and ``NullWriter`` discards it.
+for a text file, or wraps one, to show how output reaches it, and
+``NullWriter`` discards it.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import math
 import numpy as np
 
 from entdisc import ProbVector, PureState
+from entdisc.sweep import CSV_CHUNK_ROWS
 
 
 def rdm_spectrum(state: PureState) -> np.ndarray:
@@ -124,13 +126,31 @@ def loop_lambda_max(members, probs) -> float:
 
 
 class RecordingWriter:
-    """A text sink that keeps every string passed to ``write``."""
+    """A text sink that keeps every string passed to ``write``, and passes it on to ``target`` if one is given."""
 
-    def __init__(self):
-        self.writes = []
+    def __init__(self, target=None):
+        self.writes, self.target = [], target
 
     def write(self, text):
         self.writes.append(text)
+        return len(text) if self.target is None else self.target.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.target is not None:
+            self.target.close()
+
+
+def assert_block_writes(writes, text: str) -> None:
+    """``writes`` are the sweep CSV ``text`` in one write per CSV_CHUNK_ROWS rows, the header riding on the first."""
+    rows = text.count("\n") - 1
+    assert len(writes) == max(-(-rows // CSV_CHUNK_ROWS), 1)
+    assert [w.count("\n") for w in writes] == [
+        min(CSV_CHUNK_ROWS, rows - start) + (start == 0) for start in range(0, max(rows, 1), CSV_CHUNK_ROWS)
+    ]
+    assert "".join(writes) == text
 
 
 class NullWriter:

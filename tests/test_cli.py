@@ -9,8 +9,7 @@ import pytest
 import entdisc
 from entdisc import BellFamily, perfect_discrimination_feasible, records_to_csv, run_sweep
 from entdisc.cli import load_ensemble_file, main
-from entdisc.sweep import WRITE_SLICE_CHARS
-from helpers import RecordingWriter
+from helpers import RecordingWriter, assert_block_writes
 
 
 def run_cli(capsys, *argv):
@@ -369,6 +368,7 @@ FLOAT_DIM_STATE = '{"states": [%s], "probs": [1.0]}' % ONE_STATE.replace('"dim_a
 SHORT_SECOND_STATE = '{"states": [%s, %s], "probs": [0.5, 0.5]}' % (
     ONE_STATE, '{"amplitudes": [[0, 0], [1, 0], [0, 0]], "dim_a": 2, "dim_b": 2}'
 )
+AMPLITUDES_STATE = '{"states": [{"amplitudes": %s, "dim_a": 2, "dim_b": 2}], "probs": [1.0]}'
 # What a states file's error line starts with when PureState rejects one of its states.
 STATE_ERRORS = {
     FLOAT_DIM_STATE: "error: state 0: local dimensions must be positive integers, got 2.9 and 2",
@@ -495,6 +495,22 @@ class TestInputContract:
             (["bounds"], '{"states": [%s], "probs": [1.0]}' % ONE_STATE.replace('"dim_a": 2', '"dim_a": 2.0')),
             (["discriminate"], '{"states": [%s], "probs": [1.0]}' % ONE_STATE.replace('2, "dim_b": 2', 'true, "dim_b": 4')),
             (["discriminate"], SHORT_SECOND_STATE),
+            # strings and booleans where a JSON number is required used to be
+            # converted (or counted as 1 and 0) and exit 0
+            (["discriminate"], '{"family": {"a2": "0.9", "c2": true}, "probs": ["0.25", 0.25, 0.25, 0.25]}'),
+            (["discriminate"], '{"family": {"a2": "0.9", "c2": 0.9}}'),
+            (["discriminate"], '{"family": {"a2": 0.9, "c2": true}}'),
+            (["discriminate"], '{"family": {"a2": 0.9, "c2": 0.9}, "probs": ["0.25", 0.25, 0.25, 0.25]}'),
+            (["discriminate"], '{"family": {"a2": 0.9, "c2": 0.9}, "probs": [true, false, false, false]}'),
+            (["discriminate"], AMPLITUDES_STATE % '["0.7071067811865476", 0, 0, [0.7071067811865476, 0]]'),
+            (["discriminate"], AMPLITUDES_STATE % "[true, false, false, false]"),
+            (["discriminate"], AMPLITUDES_STATE % '["1+0j", 0, 0, 0]'),
+            (["discriminate"], AMPLITUDES_STATE % "[[1, false], [0, 0], [0, 0], [0, 0]]"),
+            (["bounds"], '{"states": [%s], "probs": [true]}' % ONE_STATE),
+            # integers beyond float range used to exit 1 with an OverflowError
+            (["discriminate"], '{"family": {"a2": 1%s, "c2": 0.9}}' % ("0" * 400)),
+            (["discriminate"], '{"family": {"a2": 0.9, "c2": 0.9}, "probs": [1%s, 0, 0, 0]}' % ("0" * 400)),
+            (["discriminate"], AMPLITUDES_STATE % "[[1%s, 0], [0, 0], [0, 0], [0, 0]]" % ("0" * 400)),
         ],
     )
     def test_malformed_values_exit_2(self, capsys, tmp_path, argv, file_text):
@@ -517,9 +533,11 @@ class TestInputContract:
         self.assert_rejected(capsys, "discriminate", "--ensemble", str(path))
 
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
-        # an --out that cannot be opened used to exit 1 with a traceback name
+        # an --out that cannot be opened used to exit 1 with a traceback name;
+        # the reason names the path asked for, not the file written beside it
         self.assert_rejected(capsys, "sweep", "--mode", "preserve", "--grid-n", "3", "--out", str(tmp_path))
-        self.assert_rejected(capsys, "sweep", "--mode", "preserve", "--grid-n", "3", "--out", str(tmp_path / "no" / "x.csv"))
+        missing = str(tmp_path / "no" / "x.csv")
+        assert repr(missing) in self.assert_rejected(capsys, "sweep", "--mode", "preserve", "--grid-n", "3", "--out", missing)
 
     def test_tol_zero_accepted(self, capsys):
         result = get_json(capsys, "discriminate", "--a2", "1", "--c2", "1", "--tol", "0", "--json")
@@ -544,7 +562,8 @@ class TestInputContract:
 
 class TestSweepCallChain:
     def test_stdout_goes_through_write_csv(self, monkeypatch):
-        # without --out the CSV takes write_csv's sliced path to standard output
+        # without --out the CSV takes write_csv's block-by-block path to
+        # standard output, one write per CSV_CHUNK_ROWS block
         destinations = []
 
         def spy(records, destination, _original=entdisc.cli.write_csv):
@@ -557,9 +576,7 @@ class TestSweepCallChain:
         assert main(["sweep", "--mode", "preserve", "--grid-n", "151"]) == 0
         monkeypatch.undo()
         assert destinations == [sink]
-        assert len(sink.writes) == 2
-        assert max(len(chunk) for chunk in sink.writes) <= WRITE_SLICE_CHARS
-        assert "".join(sink.writes) == records_to_csv(run_sweep("preserve", 151))
+        assert_block_writes(sink.writes, records_to_csv(run_sweep("preserve", 151)))
 
     def test_out_calls_each_stage_once(self, tmp_path, monkeypatch):
         # the sweep command runs run_sweep -> write_csv -> records_to_csv,

@@ -1,5 +1,9 @@
 import hashlib
 import io
+import os
+import stat
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,8 +25,8 @@ from entdisc import (
     write_csv,
 )
 import entdisc.sweep
-from entdisc.sweep import CSV_CHUNK_ROWS, MAX_GRID_N, WRITE_SLICE_CHARS
-from helpers import NullWriter, RecordingWriter
+from entdisc.sweep import CSV_CHUNK_ROWS, MAX_GRID_N
+from helpers import NullWriter, RecordingWriter, assert_block_writes
 
 
 def inverse_binary_entropy_upper(target: float) -> float:
@@ -213,9 +217,10 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rows_equal_per_point_calls_exactly(self, seed):
-        # per-point calls are batches of one through the sweep's kernel, so
-        # at every lattice point they give the same verdicts and the same
-        # alpha2_max bit for bit, for any priors and subset
+        # per-point calls are batches of one through the sweep's kernel, and
+        # both take entropies by the one rule in spectra, so at every lattice
+        # point they give the same verdicts and the same alpha2_max and
+        # assisted cost bit for bit, for any priors and subset
         rng = np.random.default_rng(seed)
         probs4 = None if seed == 0 else rng.dirichlet(np.ones(4)).tolist()
         probs3 = None if seed == 0 else rng.dirichlet(np.ones(3)).tolist()
@@ -225,7 +230,9 @@ class TestRunSweep:
         for row, row3 in zip(assist, feas3):
             family = BellFamily.from_squared(row.a2, row.c2)
             assert row.feasible_unassisted == perfect_discrimination_feasible(family, probs4)
-            assert row.alpha2_max.hex() == assisted_alpha2_max(family).alpha2_max.hex()
+            report = assisted_alpha2_max(family)
+            assert row.alpha2_max.hex() == report.alpha2_max.hex()
+            assert row.assist_cost_ebits.hex() == report.cost_ebits.hex()
             assert row3.feasible_unassisted == three_state_feasible(family, which, probs3)
 
     def test_preserve_costs_nonnegative_for_rounded_priors(self):
@@ -359,20 +366,124 @@ class TestCsv:
         write_csv(records, buffer)
         assert buffer.getvalue() == records_to_csv(records)
 
-    def test_write_csv_in_bounded_slices(self, tmp_path):
-        # the 1.26 MB grid-151 CSV reaches a file object and a path in
-        # slices, never as one whole-text write
+    def test_write_csv_in_bounded_slices(self, tmp_path, monkeypatch):
+        # the 22 801-row grid-151 CSV reaches a file object and a path one
+        # CSV_CHUNK_ROWS block per write call, never as one whole-text write
         records = run_sweep("preserve", 151)
         text = records_to_csv(records)
-        assert len(text) > WRITE_SLICE_CHARS
         sink = RecordingWriter()
         write_csv(records, sink)
-        assert len(sink.writes) == -(-len(text) // WRITE_SLICE_CHARS)
-        assert max(len(chunk) for chunk in sink.writes) <= WRITE_SLICE_CHARS
-        assert "".join(sink.writes) == text
+        assert_block_writes(sink.writes, text)
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(RecordingWriter(open(*args, **kwargs)))
+            return opened[-1]
+
+        monkeypatch.setattr(entdisc.sweep, "open", recording_open, raising=False)
         target = tmp_path / "out.csv"
         write_csv(records, target)
+        monkeypatch.undo()
+        assert len(opened) == 1
+        assert_block_writes(opened[0].writes, text)
         assert target.read_bytes() == text.encode("utf-8")
+
+
+class TestWriteCsvPath:
+    """A path is written all or nothing; what is not a regular file is written in place."""
+
+    @staticmethod
+    def fail_on_second_block(monkeypatch, exc_type):
+        blocks = []
+
+        def scan(*args, _original=entdisc.sweep._scan_columns):
+            blocks.append(args[-1])
+            if len(blocks) == 2:
+                raise exc_type("stopped")
+            return _original(*args)
+
+        monkeypatch.setattr(entdisc.sweep, "_scan_columns", scan)
+
+    @pytest.mark.parametrize("exc_type", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failure_leaves_old_file_or_none(self, tmp_path, monkeypatch, exc_type, existing):
+        # the 10 201-point grid-101 scan takes three blocks; the second fails
+        target = tmp_path / "out.csv"
+        if existing:
+            target.write_bytes(b"old bytes\n")
+        self.fail_on_second_block(monkeypatch, exc_type)
+        with pytest.raises(exc_type):
+            write_csv(run_sweep("preserve", 101), target)
+        assert os.listdir(tmp_path) == (["out.csv"] if existing else [])
+        if existing:
+            assert target.read_bytes() == b"old bytes\n"
+
+    @pytest.mark.parametrize("kind", [str, os.fsencode])
+    def test_str_and_bytes_paths(self, tmp_path, kind):
+        # a PathLike is test_write_csv_to_path's case
+        records = run_sweep("assist", 3)
+        target = tmp_path / "out.csv"
+        write_csv(records, kind(target))
+        assert target.read_text(encoding="utf-8") == records_to_csv(records)
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_permission_bits(self, tmp_path):
+        # a new file gets what open(path, "w") gives; an existing one keeps its own
+        reference = tmp_path / "reference"
+        open(reference, "w").close()
+        new = tmp_path / "new.csv"
+        write_csv(run_sweep("preserve", 3), new)
+        assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+        existing = tmp_path / "existing.csv"
+        existing.write_text("old\n")
+        existing.chmod(0o640)
+        write_csv(run_sweep("preserve", 3), existing)
+        assert stat.S_IMODE(existing.stat().st_mode) == 0o640
+        assert existing.read_text(encoding="utf-8") == records_to_csv(run_sweep("preserve", 3))
+
+    @pytest.mark.skipif(sys.platform == "win32" or os.geteuid() == 0, reason="root may write a read-only file")
+    def test_read_only_file_is_refused(self, tmp_path):
+        # a file that open(path, "w") could not write is not replaced either
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+        target.chmod(0o444)
+        with pytest.raises(PermissionError):
+            write_csv(run_sweep("preserve", 3), target)
+        assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_symlink_keeps_pointing_at_its_target(self, tmp_path):
+        target = tmp_path / "data" / "out.csv"
+        target.parent.mkdir()
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        records = run_sweep("feasible3", 3)
+        write_csv(records, link)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text(encoding="utf-8") == records_to_csv(records)
+        assert sorted(os.listdir(tmp_path)) == ["data", "link.csv"]
+        assert os.listdir(target.parent) == ["out.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+
+        def read():
+            with open(fifo, encoding="utf-8") as handle:
+                received.append(handle.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        records = run_sweep("preserve", 101)
+        write_csv(records, fifo)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert received == [records_to_csv(records)]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["pipe"]
 
 
 class TestStreaming:
@@ -398,10 +509,10 @@ class TestStreaming:
         # write_csv computes, formats and writes one block at a time, so the
         # memory it allocates does not grow with the lattice: grid 301 has 4
         # times grid 151's points, and its traced peak stays within 1.5 times.
-        # From grid 151 on, the CSV (1.26 MB for preserve) fills the 1 MiB
-        # write slice that write_csv holds; grid 101's does not. With
-        # whole-lattice columns and a whole CSV text, both modes peaked 4 times
-        # higher at grid 301 than at grid 151.
+        # Both grids fill whole CSV_CHUNK_ROWS blocks (grid 151 has 22 801
+        # points, five full blocks and a partial one), so both reach the
+        # one-block peak. With whole-lattice columns and a whole CSV text,
+        # both modes peaked 4 times higher at grid 301 than at grid 151.
         batches = []
 
         def spy(member_mats, probs, _original=entdisc.sweep.pointer_spectra):

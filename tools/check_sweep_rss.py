@@ -3,7 +3,9 @@
 Runs ``entdisc sweep --out`` for each mode at grid 101 and at grid 1001, each
 in its own child process, and reads the child's peak RSS (``ru_maxrss``) from
 ``os.wait4``. Exits 1 if any mode's grid-1001 peak is more than RATIO times
-its grid-101 peak. Standard library only, so this process stays small: a
+its grid-101 peak. After each child it also checks what the child left: the
+output directory must hold only the CSV (no temporary file left beside it),
+and the CSV must have grid_n^2 + 1 lines (no short write). Standard library only, so this process stays small: a
 child's peak RSS also counts the memory it shared with this process before it
 started the interpreter.
 
@@ -31,9 +33,17 @@ def run_sweep(mode: str, grid_n: int, out: str) -> tuple[float, float]:
     start = time.perf_counter()
     child = subprocess.Popen(argv, env=env)
     _, status, usage = os.wait4(child.pid, 0)
+    seconds = time.perf_counter() - start
     if status != 0:
         sys.exit(f"sweep --mode {mode} --grid-n {grid_n} failed with wait status {status}")
-    return time.perf_counter() - start, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+    left = sorted(os.listdir(os.path.dirname(out)))
+    if left != [os.path.basename(out)]:
+        sys.exit(f"sweep --mode {mode} --grid-n {grid_n} left {left} in its output directory")
+    with open(out, "rb") as handle:
+        lines = sum(block.count(b"\n") for block in iter(lambda: handle.read(1 << 20), b""))
+    if lines != grid_n**2 + 1:
+        sys.exit(f"sweep --mode {mode} --grid-n {grid_n} wrote {lines} lines, expected {grid_n**2 + 1}")
+    return seconds, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
 
 
 def main() -> int:
