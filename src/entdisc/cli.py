@@ -328,6 +328,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         sys.stderr.write(_error_line(str(exc)))
         return 2
+    except KeyboardInterrupt:
+        sys.stderr.write(_error_line("interrupted"))
+        return 130
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -120,9 +120,17 @@ def schmidt(state: PureState) -> SchmidtDecomposition:
 
 
 def reduced_spectrum(state: PureState) -> ProbVector:
-    """Eigenvalues of the reduced density matrix, sorted descending."""
-    sing = np.linalg.svd(state.coefficient_matrix(), compute_uv=False)
-    return ProbVector(sing**2)
+    """Eigenvalues of the reduced density matrix, sorted descending.
+
+    Computed on the first call and kept on the immutable state, so later
+    calls return the same vector.
+    """
+    spectrum = getattr(state, "_spectrum", None)
+    if spectrum is None:
+        sing = np.linalg.svd(state.coefficient_matrix(), compute_uv=False)
+        spectrum = ProbVector(sing**2)
+        object.__setattr__(state, "_spectrum", spectrum)
+    return spectrum
 
 
 def family_matrices(a, b, c, d) -> np.ndarray:
@@ -138,6 +146,7 @@ def family_matrices(a, b, c, d) -> np.ndarray:
 # The four Bell states are the family at a = b = c = d = 1/sqrt(2).
 BELL_MATRICES = family_matrices(*(1.0 / np.sqrt(2.0),) * 4)
 BELL_MATRICES.setflags(write=False)
+_BELL_STATES = tuple(PureState(m, 2, 2) for m in BELL_MATRICES)
 
 
 def check_family_priors(probs, count: int) -> list[float]:
@@ -215,9 +224,10 @@ def bell_states() -> list[PureState]:
     """The four maximally entangled two-qubit states.
 
     Order matters downstream: pointer constructions pair the i-th ensemble
-    member with the i-th state of this list.
+    member with the i-th state of this list. The states are built once and
+    shared (they are immutable); each call returns a new list.
     """
-    return [PureState(m, 2, 2) for m in BELL_MATRICES]
+    return list(_BELL_STATES)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,8 +6,9 @@ entropies from a plain Python loop, and the resource boundary from a brute
 grid scan (the package uses the closed form), and pointer-state top
 eigenvalues from the four-state X-block closed form or an index-loop
 eigensolve (the package uses a batched SVD). ``RecordingWriter`` stands in
-for a text file, or wraps one, to show how output reaches it, and
-``NullWriter`` discards it.
+for a text file, or wraps one, to show how output reaches it;
+``NullWriter`` discards it; and ``fail_on_second_block`` stops a sweep
+part way through.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import math
 
 import numpy as np
 
+import entdisc.sweep
 from entdisc import ProbVector, PureState
 from entdisc.sweep import CSV_CHUNK_ROWS
 
@@ -158,3 +160,16 @@ class NullWriter:
 
     def write(self, text):
         return len(text)
+
+
+def fail_on_second_block(monkeypatch, exc_type) -> None:
+    """Make the sweep kernel raise ``exc_type`` when it is asked for its second block."""
+    blocks = []
+
+    def scan(*args, _original=entdisc.sweep._scan_columns):
+        blocks.append(args[-1])
+        if len(blocks) == 2:
+            raise exc_type("stopped")
+        return _original(*args)
+
+    monkeypatch.setattr(entdisc.sweep, "_scan_columns", scan)

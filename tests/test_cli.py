@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import sys
 import warnings
 
@@ -9,7 +10,7 @@ import pytest
 import entdisc
 from entdisc import BellFamily, perfect_discrimination_feasible, records_to_csv, run_sweep
 from entdisc.cli import load_ensemble_file, main
-from helpers import RecordingWriter, assert_block_writes
+from helpers import RecordingWriter, assert_block_writes, fail_on_second_block
 
 
 def run_cli(capsys, *argv):
@@ -312,6 +313,23 @@ class TestSweepCommand:
     def test_rejects_bad_grid(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--mode", "preserve", "--grid-n", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_interrupt_exits_130_with_one_line(self, capsys, monkeypatch, tmp_path, existing):
+        # Ctrl-C used to end in a traceback; the 10 201-point scan takes three
+        # blocks and the second is interrupted
+        target = tmp_path / "out.csv"
+        if existing:
+            target.write_bytes(b"old bytes\n")
+        fail_on_second_block(monkeypatch, KeyboardInterrupt)
+        try:
+            code, out, err = run_cli(capsys, "sweep", "--mode", "preserve", "--grid-n", "101", "--out", str(target))
+        except KeyboardInterrupt:
+            pytest.fail("main let KeyboardInterrupt escape")
+        assert (code, out, err) == (130, "", "error: interrupted\n")
+        assert os.listdir(tmp_path) == (["out.csv"] if existing else [])
+        if existing:
+            assert target.read_bytes() == b"old bytes\n"
 
 
 class TestUsage:

@@ -16,6 +16,7 @@ from entdisc import (
     relative_entropy_ent,
     schmidt,
 )
+from entdisc.states import BELL_MATRICES
 from helpers import random_pure_state, random_unitary, rdm_spectrum
 
 BELL = PureState(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0), 2, 2)
@@ -117,6 +118,73 @@ class TestReducedSpectrum:
         assert reduced_spectrum(state).dim == 2
 
 
+def count_svd_calls(monkeypatch) -> list[bool]:
+    """Wrap np.linalg.svd; the returned list gets each call's compute_uv."""
+    calls = []
+
+    def svd(*args, _original=np.linalg.svd, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return calls
+
+
+def twin(state: PureState) -> PureState:
+    return PureState(state.amplitudes, state.dim_a, state.dim_b)
+
+
+class TestStoredSpectrum:
+    """A state computes its reduced spectrum once; results do not depend on call order."""
+
+    def test_same_vector_on_every_call(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        calls = count_svd_calls(monkeypatch)
+        for dim_a, dim_b in [(1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]:
+            for _ in range(20):
+                state = random_pure_state(rng, dim_a, dim_b)
+                lam = reduced_spectrum(state)
+                assert reduced_spectrum(state) is lam
+                assert np.allclose(lam.entries, rdm_spectrum(state)[: lam.dim], rtol=0.0, atol=1e-12)
+        assert calls == [False] * 120
+
+    def test_bound_of_four_members_takes_four_svds(self, monkeypatch):
+        # each of the three measures used to take its own SVD: 12 calls
+        rng = np.random.default_rng(41)
+        states = [random_pure_state(rng, 2, 2) for _ in range(4)]
+        calls = count_svd_calls(monkeypatch)
+        first = distinguishability_bound(Ensemble.equal_priors(states))
+        assert len(calls) == 4
+        assert distinguishability_bound(Ensemble.equal_priors(states)) == first
+        assert len(calls) == 4
+
+    def test_results_do_not_depend_on_call_order(self):
+        rng = np.random.default_rng(42)
+        measures = (entanglement_entropy, global_robustness, relative_entropy_ent, geometric_measure)
+        for dim_a, dim_b in [(1, 2), (2, 2), (2, 3), (3, 3)]:
+            for _ in range(25):
+                warm = [random_pure_state(rng, dim_a, dim_b) for _ in range(int(rng.integers(1, 5)))]
+                for state in warm:
+                    geometric_measure(state)
+                for state in warm:
+                    for measure in measures:
+                        assert measure(state).hex() == measure(twin(state)).hex(), measure.__name__
+                warm_bound = distinguishability_bound(Ensemble.equal_priors(warm))
+                cold_bound = distinguishability_bound(Ensemble.equal_priors([twin(s) for s in warm]))
+                for field in ("n_robustness", "n_rel_entropy", "n_geometric"):
+                    assert getattr(warm_bound, field).hex() == getattr(cold_bound, field).hex(), field
+
+    def test_schmidt_neither_fills_nor_reads_it(self, monkeypatch):
+        state = random_pure_state(np.random.default_rng(43), 3, 3)
+        calls = count_svd_calls(monkeypatch)
+        schmidt(state)
+        reduced_spectrum(state)
+        assert calls == [True, False]
+        probs = schmidt(state).probs.entries
+        assert calls == [True, False, True]
+        assert [p.hex() for p in probs] == [p.hex() for p in schmidt(twin(state)).probs.entries]
+
+
 class TestBellFamily:
     def test_maximally_entangled_case_gives_bell_states(self):
         family = bell_family(0.5, 0.5)
@@ -176,6 +244,31 @@ class TestBellFamily:
         assert np.allclose(spectra[2].entries, [0.65, 0.35])
         for member, spec in zip(fam.states(), spectra):
             assert np.allclose(reduced_spectrum(member).entries, spec.entries, atol=1e-12)
+
+
+class TestBellStates:
+    def test_new_list_over_shared_states(self, monkeypatch):
+        first = bell_states()
+        built = []
+        original = PureState.__post_init__
+
+        def post_init(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(PureState, "__post_init__", post_init)
+        second = bell_states()
+        assert second is not first
+        first.clear()
+        third = bell_states()
+        assert built == []
+        assert len(second) == len(third) == 4
+        assert all(a is b for a, b in zip(second, third))
+        for state, matrix in zip(third, BELL_MATRICES):
+            assert np.array_equal(state.coefficient_matrix(), matrix)
+            assert not state.amplitudes.flags.writeable
+            with pytest.raises(ValueError):
+                state.amplitudes[0] = 0.0
 
 
 class TestMeasures:

@@ -26,7 +26,7 @@ from entdisc import (
 )
 import entdisc.sweep
 from entdisc.sweep import CSV_CHUNK_ROWS, MAX_GRID_N
-from helpers import NullWriter, RecordingWriter, assert_block_writes
+from helpers import NullWriter, RecordingWriter, assert_block_writes, fail_on_second_block
 
 
 def inverse_binary_entropy_upper(target: float) -> float:
@@ -392,18 +392,6 @@ class TestCsv:
 class TestWriteCsvPath:
     """A path is written all or nothing; what is not a regular file is written in place."""
 
-    @staticmethod
-    def fail_on_second_block(monkeypatch, exc_type):
-        blocks = []
-
-        def scan(*args, _original=entdisc.sweep._scan_columns):
-            blocks.append(args[-1])
-            if len(blocks) == 2:
-                raise exc_type("stopped")
-            return _original(*args)
-
-        monkeypatch.setattr(entdisc.sweep, "_scan_columns", scan)
-
     @pytest.mark.parametrize("exc_type", [RuntimeError, KeyboardInterrupt])
     @pytest.mark.parametrize("existing", [False, True])
     def test_failure_leaves_old_file_or_none(self, tmp_path, monkeypatch, exc_type, existing):
@@ -411,7 +399,7 @@ class TestWriteCsvPath:
         target = tmp_path / "out.csv"
         if existing:
             target.write_bytes(b"old bytes\n")
-        self.fail_on_second_block(monkeypatch, exc_type)
+        fail_on_second_block(monkeypatch, exc_type)
         with pytest.raises(exc_type):
             write_csv(run_sweep("preserve", 101), target)
         assert os.listdir(tmp_path) == (["out.csv"] if existing else [])
