@@ -35,8 +35,12 @@ FILE_NORM_TOL = 1e-6
 
 
 def _parse_list(text: str, flag: str, kind=float) -> list:
+    """Comma-separated values: an empty text is the empty list, and an empty entry in any other exits 2."""
+    parts = text.split(",") if text.strip() else []
+    if not all(part.strip() for part in parts):
+        raise ValidationError(f"{flag} has an empty entry in {text!r}")
     try:
-        return [kind(part) for part in text.split(",") if part.strip() != ""]
+        return [kind(part) for part in parts]
     except ValueError:
         what = "integers" if kind is int else "numbers"
         raise ValidationError(f"{flag} expects a comma-separated list of {what}, got {text!r}")

@@ -5,9 +5,9 @@ an ensemble {p_i, psi_i} on the A:B cut is encoded as the composite state
 sum_i sqrt(p_i) |psi_i>_AB |phi_i>_CD with mutually orthogonal pointers
 phi_i, read as a bipartite state on the AC:BD cut. Distinguishing the
 ensemble then implies an ensemble transformation of the composite into the
-pointers, which majorization decides. With Bell pointers, ``pointer_spectra``
-computes the composite's reduced spectrum for a batch of problems, and the
-per-point calls, the sweeps and the CLI all run it (a batch of one per point).
+pointers, which majorization decides. ``_composite`` builds that state for
+``pointer_state`` and, batched with Bell pointers, for ``pointer_spectra``;
+the per-point calls, the sweeps and the CLI all run the batch (of one per point).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .spectra import (
     ProbVector,
     binary_entropy,
     entropy_bits,
-    majorized_rows,
     majorizes,
     mix,
     tensor,
@@ -78,12 +77,9 @@ def pointer_state(ensemble: Ensemble, pointers: Sequence[PureState]) -> PureStat
         for j in range(i + 1, len(pointers)):
             if abs(pointers[i].overlap(pointers[j])) > DEFAULT_TOL:
                 raise ValidationError(f"pointers {i} and {j} are not orthogonal")
-    dim_c, dim_d = dims.pop()
-    out = np.zeros((ensemble.dim_a, dim_c, ensemble.dim_b, dim_d), dtype=complex)
-    for (prob, psi), phi in zip(ensemble.members, pointers):
-        block = np.multiply.outer(psi.coefficient_matrix(), phi.coefficient_matrix())
-        out += np.sqrt(prob) * block.transpose(0, 2, 1, 3)
-    return PureState.from_matrix(out.reshape(ensemble.dim_a * dim_c, ensemble.dim_b * dim_d))
+    members = [psi.coefficient_matrix()[None] for psi in ensemble.states]
+    pointer_mats = [phi.coefficient_matrix() for phi in pointers]
+    return PureState.from_matrix(_composite(members, ensemble.probs, pointer_mats)[0])
 
 
 def locc_deterministic_feasible(
@@ -106,32 +102,37 @@ def locc_ensemble_feasible(
     return majorizes(source, mix(targets), tol)
 
 
-def pointer_spectra(member_mats: np.ndarray, probs: Sequence[float]) -> np.ndarray:
-    """Descending reduced spectra of a batch of Bell-pointer states, shape (n, 2 * min(dim_a, dim_b)).
+def _composite(member_mats, probs: Sequence[float], pointer_mats) -> np.ndarray:
+    """Pointer states of n problems on the AC:BD cut, shape (n, dim_a * dim_c, dim_b * dim_d).
 
-    ``member_mats`` (k <= 4 arrays of shape (n, dim_a, dim_b), real or
-    complex) holds member i of each of n problems; it is weighted by
-    sqrt(probs[i]) and paired with the i-th Bell state on the AC:BD cut,
-    exactly as ``pointer_state`` builds one problem.
+    ``member_mats[i]``, shape (n, dim_a, dim_b), holds member i of each problem; it is weighted by
+    sqrt(probs[i]) and paired with ``pointer_mats[i]``, shape (dim_c, dim_d).
     """
-    n, dim_a, dim_b = member_mats[0].shape
-    # Axes (n, a, c, b, d): the AC and BD index pairs are adjacent, so the
-    # final reshape to (n, 2 dim_a, 2 dim_b) is a view.
+    # Axes (n, a, c, b, d): the AC and BD index pairs are adjacent, so the reshape is a view.
     composite = sum(
         psi[:, :, None, :, None] * phi[None, None, :, None, :] * np.sqrt(prob)
-        for psi, prob, phi in zip(member_mats, probs, BELL_MATRICES)
+        for psi, prob, phi in zip(member_mats, probs, pointer_mats)
     )
-    return np.linalg.svd(composite.reshape(n, 2 * dim_a, 2 * dim_b), compute_uv=False) ** 2
+    n, dim_a, dim_c, dim_b, dim_d = composite.shape
+    return composite.reshape(n, dim_a * dim_c, dim_b * dim_d)
 
 
-# Every Bell pointer's spectrum is (1/2, 1/2), so any priors mix to this; padded to a 2x2 spectrum's length.
-_POINTER_TARGET = np.array([0.5, 0.5, 0.0, 0.0])
-_POINTER_TARGET.setflags(write=False)
+def pointer_spectra(member_mats: np.ndarray, probs: Sequence[float]) -> np.ndarray:
+    """Descending reduced spectra of ``_composite`` with the Bell pointers, shape (n, 2 * min(dim_a, dim_b)).
+
+    ``member_mats`` holds k <= 4 members, real or complex; member i gets the i-th Bell state.
+    """
+    return np.linalg.svd(_composite(member_mats, probs, BELL_MATRICES), compute_uv=False) ** 2
 
 
-def pointer_majorized(lam: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Which rows of ``lam`` are majorized by the mixed Bell-pointer spectrum."""
-    return majorized_rows(lam, _POINTER_TARGET, tol)
+def pointer_feasible(lam_max, tol: float = DEFAULT_TOL):
+    """The Bell-pointer verdict from the top pointer-state eigenvalue, elementwise over arrays.
+
+    Every Bell pointer's spectrum is (1/2, 1/2), so any priors mix to the target (1/2, 1/2, 0, ...),
+    whose partial sums are (1/2, 1, 1, ...). Two or more entries of a spectrum sum to at most 1, so
+    only the first partial sum can bind: the spectrum is majorized iff lambda_1 <= 1/2 + tol.
+    """
+    return lam_max <= 0.5 + tol
 
 
 def _family_batch(family: BellFamily) -> np.ndarray:
@@ -143,12 +144,12 @@ def ensemble_discrimination_feasible(ensemble: Ensemble, tol: float = DEFAULT_TO
     """Can the ensemble's members be perfectly distinguished by LOCC alone?
 
     Attaches the i-th Bell state as the i-th member's pointer and tests the
-    pointer state's spectrum against the mixed pointer spectra.
+    pointer state's top eigenvalue with ``pointer_feasible``.
     """
     if len(ensemble.members) > len(BELL_MATRICES):
         raise ValidationError("at most 4 ensemble members are supported")
-    members = np.stack([s.coefficient_matrix() for s in ensemble.states])[:, None]
-    return bool(pointer_majorized(pointer_spectra(members, ensemble.probs), tol)[0])
+    members = [s.coefficient_matrix()[None] for s in ensemble.states]
+    return bool(pointer_feasible(pointer_spectra(members, ensemble.probs)[0, 0], tol))
 
 
 def perfect_discrimination_feasible(
@@ -159,10 +160,10 @@ def perfect_discrimination_feasible(
     """Can all four family members be perfectly distinguished by LOCC alone?
 
     Builds the pointer state over the four maximally entangled pointers and
-    tests its spectrum against the mixed pointer spectra.
+    tests its top eigenvalue with ``pointer_feasible``.
     """
     lam = pointer_spectra(_family_batch(family), check_family_priors(probs, 4))
-    return bool(pointer_majorized(lam, tol)[0])
+    return bool(pointer_feasible(lam[0, 0], tol))
 
 
 def closed_form_lhs(family: BellFamily) -> float:
@@ -184,7 +185,7 @@ def three_state_feasible(
     """
     members = _family_batch(family)[list(check_which(which))]
     lam = pointer_spectra(members, check_family_priors(probs, 3))
-    return bool(pointer_majorized(lam, tol)[0])
+    return bool(pointer_feasible(lam[0, 0], tol))
 
 
 @dataclass(frozen=True)
@@ -194,8 +195,8 @@ class CostReport:
     ``alpha2_max`` is the largest admissible squared Schmidt coefficient of a
     two-term resource state: larger means a *less* entangled resource
     suffices. ``cost_ebits`` is the binary entropy of ``alpha2_max``, and
-    ``first_sum_bound`` is the cap min(1, 4/(a+b+c+d)^2) computed from the
-    amplitudes rather than the pointer spectrum; the two agree to round-off.
+    ``first_sum_bound`` is the same closed form at ``closed_form_lhs``, the
+    amplitudes' lambda_1; the two agree to round-off.
     ``feasible`` is always true, since alpha^2 = 1/2 always suffices; it is
     kept so the report's fields stay stable.
     """
@@ -210,11 +211,11 @@ def alpha2_max_from_lambda(lam_max):
     """Closed-form alpha^2_max = min(1, 1/(2 lambda_1)), elementwise over arrays.
 
     ``lam_max`` is the top eigenvalue of the pointer state. A top eigenvalue
-    within DEFAULT_TOL of 1/2 passes the unassisted test, so no resource is
-    needed and alpha^2 is exactly 1, whichever side of 1/2 the eigensolver's
-    round-off lands on at the product corner.
+    that passes the unassisted test (``pointer_feasible`` at DEFAULT_TOL)
+    needs no resource, so alpha^2 is exactly 1, whichever side of 1/2 the
+    eigensolver's round-off lands on at the product corner.
     """
-    return np.where(lam_max <= 0.5 + DEFAULT_TOL, 1.0, 0.5 / lam_max)
+    return np.where(pointer_feasible(lam_max), 1.0, 0.5 / lam_max)
 
 
 def assisted_alpha2_max(family: BellFamily) -> CostReport:
@@ -222,11 +223,10 @@ def assisted_alpha2_max(family: BellFamily) -> CostReport:
 
     The largest alpha^2 in [1/2, 1] such that the spectrum of
     resource x pointer-state, with equal priors, is majorized by the mixed
-    pointer spectra (1/2, 1/2, 0, ...). That target's partial sums are
-    (1/2, 1, 1, ...), and any two or more entries of a probability vector sum
-    to at most 1, so only the first partial sum binds:
-    alpha^2 lambda_1 <= 1/2, giving alpha^2_max = min(1, 1/(2 lambda_1))
-    exactly (Jonathan & Plenio, PRL 83, 1455 (1999), for a two-term target).
+    pointer spectra (1/2, 1/2, 0, ...). As in ``pointer_feasible``, only the
+    first partial sum binds: alpha^2 lambda_1 <= 1/2, giving
+    alpha^2_max = min(1, 1/(2 lambda_1)) exactly (Jonathan & Plenio, PRL 83,
+    1455 (1999), for a two-term target).
     Since lambda_1 <= 1, alpha^2 = 1/2 always suffices.
 
     The same argument shows the two-term model loses nothing: a resource r
@@ -236,11 +236,10 @@ def assisted_alpha2_max(family: BellFamily) -> CostReport:
     """
     lam_max = pointer_spectra(_family_batch(family), (0.25,) * 4)[0, 0]
     alpha2 = float(alpha2_max_from_lambda(lam_max))
-    total = family.a + family.b + family.c + family.d
     return CostReport(
         alpha2_max=alpha2,
         cost_ebits=binary_entropy(alpha2),
-        first_sum_bound=min(1.0, 4.0 / total**2),
+        first_sum_bound=float(alpha2_max_from_lambda(closed_form_lhs(family))),
         feasible=True,
     )
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import alpha2_max_from_lambda, pointer_majorized, pointer_spectra
+from .discrimination import alpha2_max_from_lambda, pointer_feasible, pointer_spectra
 from .errors import ValidationError
 from .spectra import binary_entropy, entropy_terms
 from .states import BellFamily, check_family_priors, check_which, family_matrices
@@ -128,14 +128,16 @@ def run_sweep(
       * ``preserve``: entanglement cost of discrimination that keeps the
         identified state intact.
       * ``feasible3``: feasibility of discriminating the three-member subset
-        ``which`` (priors default to 1/3 each).
+        ``which`` (priors default to 1/3 each). ``which`` is checked in every
+        mode, but only this one uses it.
     """
     if mode not in SWEEP_MODES:
         raise ValidationError(f"unknown sweep mode {mode!r}; expected one of {SWEEP_MODES}")
     if not 2 <= grid_n <= MAX_GRID_N:
         raise ValidationError(f"grid_n must be between 2 and {MAX_GRID_N}, got {grid_n}")
     probs = check_family_priors(probs, 3 if mode == "feasible3" else 4)
-    indices = check_which(which) if mode == "feasible3" else range(4)
+    which = check_which(which)
+    indices = which if mode == "feasible3" else range(4)
     return SweepTable((mode, np.linspace(0.5, 1.0, grid_n), probs, indices), range(grid_n**2))
 
 
@@ -167,7 +169,7 @@ def _scan_columns(mode: str, axis: np.ndarray, probs: list[float], indices, poin
 
     members = family_matrices(np.sqrt(a2), np.sqrt(1.0 - a2), np.sqrt(c2), np.sqrt(1.0 - c2))
     lam = pointer_spectra([members[i] for i in indices], probs)
-    columns["feasible_unassisted"] = pointer_majorized(lam)
+    columns["feasible_unassisted"] = pointer_feasible(lam[:, 0])
     if mode == "assist":
         if probs != [0.25] * 4:
             lam = pointer_spectra(members, (0.25,) * 4)

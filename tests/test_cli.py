@@ -568,6 +568,29 @@ class TestInputContract:
         # --probs "" used to be read as no priors and ran with equal ones
         assert self.assert_rejected(capsys, *argv, "--probs", "") == "error: expected 4 probabilities, got 0"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["discriminate", "--a2", "0.9", "--c2", "0.9", "--probs", ",0.25,0.25,0.25,0.25"],
+            ["sweep", "--mode", "preserve", "--grid-n", "2", "--probs", "0.25,0.25,,0.25,0.25"],
+            ["three-state", "--a2", "0.9", "--c2", "0.9", "--which", ",0,1,2"],
+            ["convert", "--source", "0.5,,0.5", "--target", "1"],
+        ],
+    )
+    def test_empty_entry_exits_2(self, capsys, argv):
+        # an empty entry used to be dropped, so each of these ran and exited 0
+        flag, text = argv[-2:] if argv[0] != "convert" else argv[1:3]
+        assert self.assert_rejected(capsys, *argv) == f"error: {flag} has an empty entry in {text!r}"
+
+    def test_which_checked_in_every_sweep_mode(self, capsys):
+        # outside feasible3 --which used to be ignored unchecked; a valid one
+        # is still accepted there and changes nothing
+        for mode, which in (("preserve", "7,7,7"), ("assist", "9,9,9")):
+            reason = self.assert_rejected(capsys, "sweep", "--mode", mode, "--grid-n", "2", "--which", which)
+            assert reason == f"error: which=({which.replace(',', ', ')}) must be three distinct indices in 0..3"
+        code, out, _ = run_cli(capsys, "sweep", "--mode", "assist", "--grid-n", "3", "--which", "3,0,2")
+        assert (code, out) == (0, records_to_csv(run_sweep("assist", 3)))
+
     def test_tol_zero_verdict_ignores_round_off_of_the_total(self, capsys):
         # the last partial sum is the total, 1 on both sides; it landed one
         # ulp off here and flipped the family call's verdict at --tol 0

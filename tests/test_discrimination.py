@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ from entdisc import (
     three_state_feasible,
 )
 from entdisc.discrimination import pointer_spectra
-from helpers import alpha2_max_scan, entropy_direct, random_pure_state, rdm_spectrum
+from helpers import alpha2_max_scan, entropy_direct, random_pure_state, random_unitary, rdm_spectrum
 
 
 def family_pointer_state(family: BellFamily, probs=None) -> PureState:
@@ -38,15 +40,22 @@ def family_pointer_state(family: BellFamily, probs=None) -> PureState:
 
 
 class TestPointerState:
-    def test_single_member_is_regrouped_product(self):
-        psi = random_pure_state(np.random.default_rng(0), 2, 2)
-        pointer = PureState(np.array([1.0, 0.0, 0.0, 0.0]), 2, 2)  # |00>
-        joint = pointer_state(Ensemble(((1.0, psi),)), [pointer])
-        expected = np.einsum(
-            "ab,cd->acbd", psi.coefficient_matrix(), pointer.coefficient_matrix()
-        ).reshape(4, 4)
-        assert np.allclose(joint.coefficient_matrix(), expected)
-        assert (joint.dim_a, joint.dim_b) == (4, 4)
+    @pytest.mark.parametrize("dim_d", [2, 3], ids=["2x2", "2x3"])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_is_weighted_regrouped_sum(self, size, dim_d):
+        # oracle: sum_i sqrt(p_i) psi_i (x) phi_i regrouped by einsum, with
+        # orthonormal non-Bell pointers from the columns of a QR
+        rng = np.random.default_rng(10 * size + dim_d)
+        states = [random_pure_state(rng, 2, 2) for _ in range(size)]
+        probs = rng.dirichlet(np.ones(size)).tolist()
+        columns = random_unitary(rng, 2 * dim_d)[:, :size].T
+        joint = pointer_state(Ensemble(tuple(zip(probs, states))), [PureState(c, 2, dim_d) for c in columns])
+        expected = sum(
+            np.sqrt(p) * np.einsum("ab,cd->acbd", s.amplitudes.reshape(2, 2), c.reshape(2, dim_d))
+            for p, s, c in zip(probs, states, columns)
+        )
+        assert (joint.dim_a, joint.dim_b) == (4, 2 * dim_d)
+        assert np.allclose(joint.coefficient_matrix(), expected.reshape(4, 2 * dim_d), rtol=0.0, atol=1e-12)
 
     def test_four_member_top_eigenvalue_closed_form(self):
         for a2, c2 in [(0.5, 0.5), (0.8, 0.7), (1.0, 1.0), (0.67, 0.99)]:
@@ -169,6 +178,28 @@ class TestEnsembleDiscrimination:
                 ensemble = Ensemble(tuple(zip(probs or [0.25] * 4, family.states())))
                 assert ensemble_discrimination_feasible(ensemble) == perfect_discrimination_feasible(family, probs)
                 assert ensemble_discrimination_feasible(ensemble) == object_route(ensemble)[1]
+
+    def test_verdict_is_top_eigenvalue_within_half(self):
+        # oracle: the Bell-pointer composite by einsum with the Bell matrices
+        # written out, and its top eigenvalue by a dense eigvalsh
+        bell = np.array([[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, 1], [-1, 0]]]) / np.sqrt(2.0)
+        rng = np.random.default_rng(15)
+        seen = {True: 0, False: 0}
+        for trial in range(400):
+            size = 1 + trial % 4
+            states = [random_pure_state(rng, 2, 2) for _ in range(size)]
+            probs = rng.dirichlet(np.ones(size))
+            mats = np.array([s.amplitudes.reshape(2, 2) for s in states])
+            composite = np.einsum("i,iab,icd->acbd", np.sqrt(probs), mats, bell[:size]).reshape(4, 4)
+            lam_max = np.linalg.eigvalsh(composite @ composite.conj().T)[-1]
+            ensemble = Ensemble(tuple(zip(probs.tolist(), states)))
+            for tol in (0.0, 1e-9):
+                if abs(lam_max - (0.5 + tol)) <= 1e-12:
+                    continue
+                verdict = ensemble_discrimination_feasible(ensemble, tol)
+                assert verdict == (lam_max <= 0.5 + tol)
+                seen[verdict] += 1
+        assert min(seen.values()) > 50
 
     def test_rejects_more_than_four_members(self):
         states = [random_pure_state(np.random.default_rng(k), 2, 3) for k in range(5)]
@@ -299,10 +330,20 @@ class TestAssistedCost:
             assert report.alpha2_max <= report.first_sum_bound + 1e-9
 
     def test_feasibility_equivalence_with_unassisted(self):
-        for a2, c2 in [(1.0, 1.0), (0.995, 1.0), (0.7, 0.8), (0.5, 1.0)]:
+        axis = np.append(np.linspace(0.5, 1.0, 21), [0.995, 0.9999])
+        seen = set()
+        for a2, c2 in itertools.product(axis, repeat=2):
             family = BellFamily.from_squared(a2, c2)
             unassisted = perfect_discrimination_feasible(family)
             assert unassisted == (assisted_alpha2_max(family).alpha2_max == 1.0)
+            seen.add(unassisted)
+        assert seen == {True, False}
+
+    def test_first_sum_bound_is_alpha2_max_within_tol_of_half(self):
+        # (a+b+c+d)^2 / 8 lies within DEFAULT_TOL of 1/2 here, so no resource
+        # is needed; the bound used to read 0.9999999999 beside alpha2_max 1
+        report = assisted_alpha2_max(BellFamily(1.0, 1e-10, 1.0, 0.0))
+        assert report.first_sum_bound == report.alpha2_max == 1.0
 
     def test_cost_monotone_as_entanglement_grows(self):
         costs = [

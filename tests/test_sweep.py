@@ -91,6 +91,11 @@ class TestRunSweep:
         for which in [(0, 1), (0.9, 1, 2), (True, 2, 3)]:
             with pytest.raises(ValidationError):
                 run_sweep("feasible3", 5, which=which)
+        # the other modes ignore which but check it: (9, 9, 9) used to return a table
+        for mode in ("assist", "preserve"):
+            for which in [(9, 9, 9), (7, 7, 7), (0, 1)]:
+                with pytest.raises(ValidationError, match="three distinct indices"):
+                    run_sweep(mode, 2, which=which)
 
     @pytest.mark.parametrize(
         "mode, probs",
@@ -165,9 +170,13 @@ class TestRunSweep:
         assert records[(0.5, 0.5)].alpha2_max is None
 
     def test_assist_feasible_implies_zero_cost(self):
-        for r in run_sweep("assist", 11):
-            if r.feasible_unassisted:
-                assert r.assist_cost_ebits == 0.0
+        # with uniform priors the verdict and alpha2_max read one lambda_1, so
+        # each implies the other
+        for grid_n in (11, 101):
+            for r in run_sweep("assist", grid_n):
+                assert r.feasible_unassisted == (r.alpha2_max == 1.0)
+                if r.feasible_unassisted:
+                    assert r.assist_cost_ebits == 0.0
 
     def test_symmetry_under_pair_swap(self):
         records = {(r.a2, r.c2): r for r in run_sweep("assist", 5)}
