@@ -7,7 +7,7 @@ phi_i, read as a bipartite state on the AC:BD cut. Distinguishing the
 ensemble then implies an ensemble transformation of the composite into the
 pointers, which majorization decides. ``_composite`` builds that state for
 ``pointer_state`` and, batched with Bell pointers, for ``pointer_spectra``;
-the per-point calls, the sweeps and the CLI all run the batch (of one per point).
+the four-member family's top eigenvalue has a closed form (``family_lambda_max``).
 """
 
 from __future__ import annotations
@@ -135,11 +135,6 @@ def pointer_feasible(lam_max, tol: float = DEFAULT_TOL):
     return lam_max <= 0.5 + tol
 
 
-def _family_batch(family: BellFamily) -> np.ndarray:
-    """The family's member matrices as a batch of one, shape (4, 1, 2, 2)."""
-    return family_matrices(family.a, family.b, family.c, family.d)[:, None]
-
-
 def ensemble_discrimination_feasible(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> bool:
     """Can the ensemble's members be perfectly distinguished by LOCC alone?
 
@@ -153,22 +148,33 @@ def ensemble_discrimination_feasible(ensemble: Ensemble, tol: float = DEFAULT_TO
 
 
 def perfect_discrimination_feasible(
-    family: BellFamily,
-    probs: Sequence[float] | None = None,
-    tol: float = DEFAULT_TOL,
+    family: BellFamily, probs: Sequence[float] | None = None, tol: float = DEFAULT_TOL
 ) -> bool:
-    """Can all four family members be perfectly distinguished by LOCC alone?
+    """Can all four family members be perfectly distinguished by LOCC alone? Tests ``closed_form_lhs``."""
+    return bool(pointer_feasible(closed_form_lhs(family, probs), tol))
 
-    Builds the pointer state over the four maximally entangled pointers and
-    tests its top eigenvalue with ``pointer_feasible``.
+
+def family_lambda_max(a, b, c, d, probs: list[float]):
+    """Top eigenvalue of the family's Bell-pointer state under ``probs``, clamped at 1, elementwise over arrays.
+
+    The 4x4 composite is an "X" matrix: 2x2 blocks on indices {0, 3} and {1, 2}. With non-negative inputs
+    the {0, 3} block bounds the other's entries in absolute value, so it holds lambda_1 = (Q + R)^2 / 8, where
+    Q = hypot((s0 + s1)(a + b), (s2 - s3)(c - d)), R = hypot((s0 - s1)(a - b), (s2 + s3)(c + d)), s_i = sqrt(p_i):
+    accurate to rounding even where (F + sqrt(F^2 - 4 det^2)) / 2 cancels. Equal priors give (a + b + c + d)^2 / 8,
+    summed in that order; at a = b = c = d it rounds to 1.0000000000000002, hence the clamp.
     """
-    lam = pointer_spectra(_family_batch(family), check_family_priors(probs, 4))
-    return bool(pointer_feasible(lam[0, 0], tol))
+    if probs == [0.25] * 4:
+        lam = (a + b + c + d) ** 2 / 8.0
+    else:
+        s0, s1, s2, s3 = np.sqrt(probs)
+        q = np.hypot((s0 + s1) * (a + b), (s2 - s3) * (c - d))
+        lam = (q + np.hypot((s0 - s1) * (a - b), (s2 + s3) * (c + d))) ** 2 / 8.0
+    return np.minimum(lam, 1.0)
 
 
-def closed_form_lhs(family: BellFamily) -> float:
-    """Largest eigenvalue of the equal-priors four-member pointer state, (a+b+c+d)^2 / 8."""
-    return (family.a + family.b + family.c + family.d) ** 2 / 8.0
+def closed_form_lhs(family: BellFamily, probs: Sequence[float] | None = None) -> float:
+    """Top eigenvalue lambda_1 of the four-member pointer state (``family_lambda_max``); None means equal priors."""
+    return float(family_lambda_max(family.a, family.b, family.c, family.d, check_family_priors(probs, 4)))
 
 
 def three_state_feasible(
@@ -183,7 +189,7 @@ def three_state_feasible(
     members are attached, in order, to the first three maximally entangled
     pointer states.
     """
-    members = _family_batch(family)[list(check_which(which))]
+    members = family_matrices(family.a, family.b, family.c, family.d)[list(check_which(which)), None]
     lam = pointer_spectra(members, check_family_priors(probs, 3))
     return bool(pointer_feasible(lam[0, 0], tol))
 
@@ -194,11 +200,9 @@ class CostReport:
 
     ``alpha2_max`` is the largest admissible squared Schmidt coefficient of a
     two-term resource state: larger means a *less* entangled resource
-    suffices. ``cost_ebits`` is the binary entropy of ``alpha2_max``, and
-    ``first_sum_bound`` is the same closed form at ``closed_form_lhs``, the
-    amplitudes' lambda_1; the two agree to round-off.
-    ``feasible`` is always true, since alpha^2 = 1/2 always suffices; it is
-    kept so the report's fields stay stable.
+    suffices. ``cost_ebits`` is the binary entropy of ``alpha2_max``.
+    ``first_sum_bound`` (equal to ``alpha2_max``) and ``feasible`` (always
+    true: alpha^2 = 1/2 always suffices) keep the report's fields stable.
     """
 
     alpha2_max: float
@@ -212,8 +216,8 @@ def alpha2_max_from_lambda(lam_max):
 
     ``lam_max`` is the top eigenvalue of the pointer state. A top eigenvalue
     that passes the unassisted test (``pointer_feasible`` at DEFAULT_TOL)
-    needs no resource, so alpha^2 is exactly 1, whichever side of 1/2 the
-    eigensolver's round-off lands on at the product corner.
+    needs no resource, so alpha^2 is exactly 1, whichever side of 1/2 its
+    round-off lands on.
     """
     return np.where(pointer_feasible(lam_max), 1.0, 0.5 / lam_max)
 
@@ -234,14 +238,8 @@ def assisted_alpha2_max(family: BellFamily) -> CostReport:
     t >= 1/2 the vector (t, 1-t) majorizes every r with r_1 <= t. Entropy is
     Schur-concave, so ``cost_ebits`` is the minimum over all resources.
     """
-    lam_max = pointer_spectra(_family_batch(family), (0.25,) * 4)[0, 0]
-    alpha2 = float(alpha2_max_from_lambda(lam_max))
-    return CostReport(
-        alpha2_max=alpha2,
-        cost_ebits=binary_entropy(alpha2),
-        first_sum_bound=float(alpha2_max_from_lambda(closed_form_lhs(family))),
-        feasible=True,
-    )
+    alpha2 = float(alpha2_max_from_lambda(closed_form_lhs(family)))
+    return CostReport(alpha2_max=alpha2, cost_ebits=binary_entropy(alpha2), first_sum_bound=alpha2, feasible=True)
 
 
 def preserve_spectrum(

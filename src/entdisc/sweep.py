@@ -1,9 +1,9 @@
 """Parameter-grid scans over the family's (a^2, c^2) square, emitted as CSV.
 
 Grid points are independent; the scans below evaluate them a block at a time,
-whenever results are read or written, through the pointer-spectrum kernel of
-:mod:`entdisc.discrimination` (the same code a per-point call runs as a batch
-of one) and the closed-form resource bound. Rows come in deterministic
+whenever results are read or written, through the kernels the per-point calls
+of :mod:`entdisc.discrimination` run: the family's closed-form lambda_1 and the
+batched pointer spectra of a three-member subset. Rows come in deterministic
 row-major order (outer loop a^2, inner loop c^2), so repeated runs produce
 byte-identical output.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import alpha2_max_from_lambda, pointer_feasible, pointer_spectra
+from .discrimination import alpha2_max_from_lambda, family_lambda_max, pointer_feasible, pointer_spectra
 from .errors import ValidationError
 from .spectra import binary_entropy, entropy_terms
 from .states import BellFamily, check_family_priors, check_which, family_matrices
@@ -144,7 +144,8 @@ def run_sweep(
 def _scan_columns(mode: str, axis: np.ndarray, probs: list[float], indices, points: range) -> dict[str, np.ndarray]:
     """One mode's columns at the flat lattice points ``points``: point k is (axis[k // n], axis[k % n]).
 
-    Axis entropies are gathered and the rest is elementwise, so no value depends on the block.
+    Axis entropies are gathered and the rest is elementwise (``assist`` takes the closed-form lambda_1
+    at the given and at equal priors), so no value depends on the block.
     """
     rows, cols = np.divmod(np.arange(points.start, points.stop, points.step), axis.size)
     a2, c2 = axis[rows], axis[cols]
@@ -167,14 +168,14 @@ def _scan_columns(mode: str, axis: np.ndarray, probs: list[float], indices, poin
         columns["preserve_cost_ebits"] = np.maximum(cost, 0.0, out=cost)
         return columns
 
-    members = family_matrices(np.sqrt(a2), np.sqrt(1.0 - a2), np.sqrt(c2), np.sqrt(1.0 - c2))
-    lam = pointer_spectra([members[i] for i in indices], probs)
-    columns["feasible_unassisted"] = pointer_feasible(lam[:, 0])
-    if mode == "assist":
-        if probs != [0.25] * 4:
-            lam = pointer_spectra(members, (0.25,) * 4)
-        columns["alpha2_max"] = alpha2 = alpha2_max_from_lambda(lam[:, 0])
-        columns["assist_cost_ebits"] = _binary_entropy_rows(alpha2)
+    amplitudes = np.sqrt(a2), np.sqrt(1.0 - a2), np.sqrt(c2), np.sqrt(1.0 - c2)
+    if mode == "feasible3":
+        members = family_matrices(*amplitudes)
+        columns["feasible_unassisted"] = pointer_feasible(pointer_spectra([members[i] for i in indices], probs)[:, 0])
+        return columns
+    columns["feasible_unassisted"] = pointer_feasible(family_lambda_max(*amplitudes, probs))
+    columns["alpha2_max"] = alpha2 = alpha2_max_from_lambda(family_lambda_max(*amplitudes, [0.25] * 4))
+    columns["assist_cost_ebits"] = _binary_entropy_rows(alpha2)
     return columns
 
 

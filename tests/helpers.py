@@ -4,11 +4,11 @@ The oracles deliberately avoid the library's own code paths: spectra come
 from a dense eigensolve of the reduced density matrix (the package uses SVD),
 entropies from a plain Python loop, and the resource boundary from a brute
 grid scan (the package uses the closed form), and pointer-state top
-eigenvalues from the four-state X-block closed form or an index-loop
-eigensolve (the package uses a batched SVD). ``RecordingWriter`` stands in
-for a text file, or wraps one, to show how output reaches it;
-``NullWriter`` discards it; and ``fail_on_second_block`` stops a sweep
-part way through.
+eigenvalues from an index-loop build and a dense eigensolve (the package uses
+a closed form for the family and a batched SVD otherwise). ``RecordingWriter``
+stands in for a text file, or wraps one, to show how output reaches it;
+``NullWriter`` discards it; and ``fail_on_second_block`` stops a sweep part
+way through.
 """
 
 import itertools
@@ -80,30 +80,6 @@ def alpha2_max_scan(lam: np.ndarray, step: float = 1e-4) -> float:
         if np.all(np.cumsum(cand) <= target_cumsum + 1e-12):
             return float(alpha2)
     return float("nan")
-
-
-def xblock_lambda_max(a2: float, c2: float, probs) -> float:
-    """Top pointer-state eigenvalue of the four-member family, by the X-block closed form.
-
-    With Bell pointers the 4x4 composite on the AC:BD cut is diagonal plus
-    anti-diagonal, so it splits into the 2x2 blocks on indices {0, 3} and
-    {1, 2}. A 2x2 block B has top squared singular value
-    (F + sqrt(F^2 - 4 det^2)) / 2 with F = |B|_F^2; lambda_1 is the larger of
-    the two. Any priors; no eigensolver.
-    """
-    a, b, c, d = math.sqrt(a2), math.sqrt(1.0 - a2), math.sqrt(c2), math.sqrt(1.0 - c2)
-    s0, s1, s2, s3 = (math.sqrt(p) for p in probs)
-    blocks = (
-        (s0 * a + s1 * b, s2 * c + s3 * d, s2 * d + s3 * c, s0 * b + s1 * a),
-        (s0 * a - s1 * b, s2 * c - s3 * d, s2 * d - s3 * c, s0 * b - s1 * a),
-    )
-    tops = []
-    for m00, m01, m10, m11 in blocks:
-        # every entry carries the pointers' 1/sqrt(2), hence the factors 1/2
-        f = (m00**2 + m01**2 + m10**2 + m11**2) / 2.0
-        det = (m00 * m11 - m01 * m10) / 2.0
-        tops.append((f + math.sqrt(max(f * f - 4.0 * det * det, 0.0))) / 2.0)
-    return max(tops)
 
 
 def family_member_matrices(a2: float, c2: float) -> list:

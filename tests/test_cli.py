@@ -205,8 +205,8 @@ class TestStdoutPins:
             (["assist-cost", *A2_C2],
              "a2 = 0.8\nc2 = 0.7\nfeasible = true\nalpha2_max = 0.538270825826\n"
              "assist_cost_ebits = 0.995769759562\nfirst_sum_bound = 0.538270825826\n",
-             '{"a2": 0.8, "c2": 0.7, "feasible": true, "alpha2_max": 0.5382708258257587, '
-             '"assist_cost_ebits": 0.9957697595617601, "first_sum_bound": 0.5382708258257584}\n'),
+             '{"a2": 0.8, "c2": 0.7, "feasible": true, "alpha2_max": 0.5382708258257584, '
+             '"assist_cost_ebits": 0.9957697595617602, "first_sum_bound": 0.5382708258257584}\n'),
             (["preserve-cost", *A2_C2, "--probs", PRIORS],
              "a2 = 0.8\nc2 = 0.7\npreserve_cost_ebits = 1.55592182565\n"
              "preserve_spectrum = 0.595, 0.175, 0.175, 0.055\n",

@@ -4,8 +4,8 @@ A lattice point of a small grid, priors and a three-member subset are drawn.
 The ``--json`` output of the per-point subcommands must equal the library
 calls exactly (JSON prints floats in full), and that point's row of each
 sweep mode must agree with the same calls at 12 significant digits and with
-independent oracles: the X-block closed form of the four-state lambda_1 and
-an index-loop eigensolve for the three-state subset.
+an independent oracle: lambda_1 from an index-loop build of the pointer state
+and a dense eigensolve, for the four members and for the three-member subset.
 """
 
 import contextlib
@@ -29,7 +29,7 @@ from entdisc import (
 )
 from entdisc.cli import main
 from entdisc.sweep import CSV_HEADER
-from helpers import family_member_matrices, loop_lambda_max, xblock_lambda_max
+from helpers import family_member_matrices, loop_lambda_max
 
 FIELDS = CSV_HEADER.split(",")
 POINTS = st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1), st.integers(0, n - 1)))
@@ -115,12 +115,12 @@ def test_cli_matches_library(point, p4, p3, which):
         rows[mode] = row = dict(zip(FIELDS, lines[1 + i * grid_n + j].split(",")))
         assert_row(row, {"a2": a2, "c2": c2, **values})
 
-    # the same rows against oracles that share no code with the kernel: the
-    # four-state X-block closed form and an index-loop eigensolve for the subset
-    assert_verdict(rows["assist"]["feasible_unassisted"], xblock_lambda_max(a2, c2, p4 or [0.25] * 4))
+    # the same rows against an oracle that shares no code with the kernels:
+    # an index-loop eigensolve of the four-member and the subset pointer states
     members = family_member_matrices(a2, c2)
+    assert_verdict(rows["assist"]["feasible_unassisted"], loop_lambda_max(members, p4 or [0.25] * 4))
     lam3 = loop_lambda_max([members[k] for k in which], p3 or [1 / 3] * 3)
     assert_verdict(rows["feasible3"]["feasible_unassisted"], lam3)
-    lam = xblock_lambda_max(a2, c2, [0.25] * 4)
+    lam = loop_lambda_max(members, [0.25] * 4)
     alpha2 = 1.0 if lam <= 0.5 + DEFAULT_TOL else 0.5 / lam
     assert math.isclose(float(rows["assist"]["alpha2_max"]), alpha2, rel_tol=1e-11)

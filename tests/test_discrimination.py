@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entdisc import (
+    DEFAULT_TOL,
     BellFamily,
     Ensemble,
     ProbVector,
@@ -31,7 +32,15 @@ from entdisc import (
     three_state_feasible,
 )
 from entdisc.discrimination import pointer_spectra
-from helpers import alpha2_max_scan, entropy_direct, random_pure_state, random_unitary, rdm_spectrum
+from helpers import (
+    alpha2_max_scan,
+    entropy_direct,
+    family_member_matrices,
+    loop_lambda_max,
+    random_pure_state,
+    random_unitary,
+    rdm_spectrum,
+)
 
 
 def family_pointer_state(family: BellFamily, probs=None) -> PureState:
@@ -214,6 +223,44 @@ class TestClosedForm:
     def test_product_corner(self):
         assert closed_form_lhs(BellFamily.from_squared(1.0, 1.0)) == pytest.approx(0.5, abs=1e-12)
 
+    def test_corners_exact(self):
+        # (a+b+c+d)^2 / 8 rounds to 1.0000000000000002 at the Bell corner; lambda_1 <= 1 clamps it
+        assert closed_form_lhs(BellFamily.from_squared(0.5, 0.5)) == 1.0
+        assert closed_form_lhs(BellFamily.from_squared(1.0, 1.0)) == 0.5
+
+    def test_any_priors_against_loop_eigensolve(self):
+        rng = np.random.default_rng(16)
+        seen = {True: 0, False: 0}
+        for k in range(300):
+            a2, c2 = rng.uniform(0.95 if k % 2 else 0.5, 1.0, 2)
+            probs = rng.dirichlet(np.ones(4))
+            if k % 3 == 0:
+                probs[rng.integers(4)] = 0.0
+                probs /= probs.sum()
+            family = BellFamily.from_squared(a2, c2)
+            lam = loop_lambda_max(family_member_matrices(a2, c2), probs)
+            assert closed_form_lhs(family, probs) == pytest.approx(lam, rel=0.0, abs=1e-13)
+            if abs(lam - 0.5 - DEFAULT_TOL) > 1e-12:
+                verdict = perfect_discrimination_feasible(family, probs)
+                assert verdict == (lam <= 0.5 + DEFAULT_TOL)
+                seen[verdict] += 1
+        assert min(seen.values()) > 10
+
+    def test_close_singular_values_keep_precision(self):
+        # near a = b with the last two priors near 0, the dominant X block's two
+        # singular values nearly coincide; (F + sqrt(F^2 - 4 det^2)) / 2 is off
+        # by up to 3.1e-11 at these points
+        probs = [0.5, 0.5 - 1e-12, 1e-12, 0.0]
+        for a2 in 0.5 + np.logspace(-16, -4, 25):
+            lam = loop_lambda_max(family_member_matrices(a2, 0.5), probs)
+            assert closed_form_lhs(BellFamily.from_squared(a2, 0.5), probs) == pytest.approx(lam, rel=0.0, abs=1e-14)
+
+    def test_rejects_bad_priors(self):
+        family = BellFamily.from_squared(0.9, 0.9)
+        for probs in ([0.5, 0.5], [0.5, 0.5, 0.5, -0.5], [0.3, 0.3, 0.3, 0.3]):
+            with pytest.raises(ValidationError):
+                closed_form_lhs(family, probs)
+
 
 class TestThreeState:
     def test_two_maximal_members_infeasible(self):
@@ -251,6 +298,11 @@ class TestAssistedCost:
         assert report.feasible
         assert report.alpha2_max == pytest.approx(0.5, abs=1e-9)
         assert report.cost_ebits == pytest.approx(1.0, abs=1e-9)
+
+    def test_bell_corner_first_sum_bound_is_half(self):
+        # unclamped, lambda_1 rounds to 1.0000000000000002 and the bound to 0.4999999999999999
+        report = assisted_alpha2_max(BellFamily.from_squared(0.5, 0.5))
+        assert report.first_sum_bound == report.alpha2_max == 0.5
 
     def test_product_corner_is_free(self):
         report = assisted_alpha2_max(BellFamily.from_squared(1.0, 1.0))

@@ -11,6 +11,7 @@ import pytest
 
 from entdisc import (
     CSV_HEADER,
+    DEFAULT_TOL,
     BellFamily,
     SweepRecord,
     ValidationError,
@@ -259,6 +260,29 @@ class TestRunSweep:
             family, [0.97, 0.01, 0.01, 0.01]
         )
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than double here")
+    def test_assist_alpha2_max_near_correctly_rounded(self):
+        # oracle: lambda_1 as the larger top eigenvalue of the two X blocks of
+        # the Bell-pointer composite, (F + sqrt(F^2 - 4 det^2)) / 2, all in long
+        # double from the double lattice; alpha2_max = 1/(2 lambda_1) is then
+        # rounded to double once. The batched SVD was up to 7 ulps off and
+        # printed 16 cells differently at %.12g.
+        n = 301
+        axis = np.linspace(0.5, 1.0, n).astype(np.longdouble)
+        a2, c2 = np.repeat(axis, n), np.tile(axis, n)
+        a, b, c, d = np.sqrt(a2), np.sqrt(1 - a2), np.sqrt(c2), np.sqrt(1 - c2)
+        lam = 0
+        for sign in (1, -1):
+            m00, m01, m10, m11 = a + sign * b, c + sign * d, d + sign * c, b + sign * a
+            f = (m00**2 + m01**2 + m10**2 + m11**2) / 8
+            det = (m00 * m11 - m01 * m10) / 8
+            lam = np.maximum(lam, (f + np.sqrt(np.maximum(f * f - 4 * det * det, 0))) / 2)
+        expected = np.where(lam <= 0.5 + DEFAULT_TOL, 1, 0.5 / lam).astype(float)
+        got = np.concatenate([block["alpha2_max"] for block in run_sweep("assist", n)._blocks()])
+        assert np.max(np.abs(got - expected) / np.spacing(expected)) <= 4
+        moved = got != expected
+        assert sum(format(x, ".12g") != format(y, ".12g") for x, y in zip(got[moved], expected[moved])) <= 6
+
     def test_preserve_edge_dominates_equal_average_fiber(self):
         # along a fixed average-entanglement fiber, the boundary through the
         # cusp configuration (one pair maximal, other product) has the
@@ -304,8 +328,9 @@ class TestCsv:
 
     # SHA-256 of the CSV text as emitted before the sweep kept its results
     # as columns (preserve, feasible3) and before the sweep and the per-point
-    # calls shared one pointer-spectrum kernel (assist); the output must not
-    # change by a byte.
+    # calls shared one kernel (assist); the output must not change by a byte.
+    # The assist grid-101 digests are those of the closed-form lambda_1, which
+    # moved 3 rows in the 12th digit of alpha2_max or assist_cost_ebits.
     @pytest.mark.parametrize(
         "mode, grid_n, probs, which, digest",
         [
@@ -319,8 +344,8 @@ class TestCsv:
             ("feasible3", 101, [0.5, 0.3, 0.2], (3, 0, 2), "988f2b9a7edca8c80b31a663ccf8793330b51000cf0582674a4dec7d883cb992"),
             ("assist", 21, None, (0, 1, 2), "3984bc099e4eb7871fa8692c72bed8bbf647f261eb703b685dc2c0bcc740cbe0"),
             ("assist", 21, [0.4, 0.3, 0.2, 0.1], (0, 1, 2), "3a6a0c642e7e7b814ff611ecdb7bd09258493e98155d19ed3b58e4649e897402"),
-            ("assist", 101, None, (0, 1, 2), "30fe56c52800ebf402fe1df99cec2577ac5b1590539dc8149879d36e3b0fad42"),
-            ("assist", 101, [0.4, 0.3, 0.2, 0.1], (0, 1, 2), "1dade4c07189981c3d93fc7cd08716690bd7412b961d7a4574f984ef41dfd798"),
+            ("assist", 101, None, (0, 1, 2), "3775679451d847505a84fa8526e0af257855b15904647b2530cff5c477e17cdf"),
+            ("assist", 101, [0.4, 0.3, 0.2, 0.1], (0, 1, 2), "b4e814a508847af0b307b319550920586d479282488823b264a6c2e1e80de800"),
         ],
     )
     def test_pinned_digest(self, mode, grid_n, probs, which, digest):
@@ -512,11 +537,11 @@ class TestStreaming:
         # both modes peaked 4 times higher at grid 301 than at grid 151.
         batches = []
 
-        def spy(member_mats, probs, _original=entdisc.sweep.pointer_spectra):
-            batches.append(len(member_mats[0]))
-            return _original(member_mats, probs)
+        def spy(a, b, c, d, probs, _original=entdisc.sweep.family_lambda_max):
+            batches.append(len(a))
+            return _original(a, b, c, d, probs)
 
-        monkeypatch.setattr(entdisc.sweep, "pointer_spectra", spy)
+        monkeypatch.setattr(entdisc.sweep, "family_lambda_max", spy)
         peaks = {}
         for grid_n in (151, 301):
             tracemalloc.start()
