@@ -6,7 +6,7 @@ sum_i sqrt(p_i) |psi_i>_AB |phi_i>_CD with mutually orthogonal pointers
 phi_i, read as a bipartite state on the AC:BD cut. Distinguishing the
 ensemble then implies an ensemble transformation of the composite into the
 pointers, which majorization decides. ``_composite`` builds that state for
-``pointer_state`` and, batched with Bell pointers, for ``pointer_spectra``;
+``pointer_state`` and, batched with Bell pointers, for ``pointer_lambda_max``;
 the four-member family's top eigenvalue has a closed form (``family_lambda_max``).
 """
 
@@ -117,12 +117,13 @@ def _composite(member_mats, probs: Sequence[float], pointer_mats) -> np.ndarray:
     return composite.reshape(n, dim_a * dim_c, dim_b * dim_d)
 
 
-def pointer_spectra(member_mats: np.ndarray, probs: Sequence[float]) -> np.ndarray:
-    """Descending reduced spectra of ``_composite`` with the Bell pointers, shape (n, 2 * min(dim_a, dim_b)).
+def pointer_lambda_max(member_mats, probs: Sequence[float]) -> np.ndarray:
+    """Top eigenvalue lambda_1 of each ``_composite`` M with the Bell pointers, from M M^dagger; shape (n,).
 
     ``member_mats`` holds k <= 4 members, real or complex; member i gets the i-th Bell state.
     """
-    return np.linalg.svd(_composite(member_mats, probs, BELL_MATRICES), compute_uv=False) ** 2
+    m = _composite(member_mats, probs, BELL_MATRICES)
+    return np.linalg.eigvalsh(m @ m.conj().swapaxes(1, 2))[:, -1]
 
 
 def pointer_feasible(lam_max, tol: float = DEFAULT_TOL):
@@ -144,7 +145,7 @@ def ensemble_discrimination_feasible(ensemble: Ensemble, tol: float = DEFAULT_TO
     if len(ensemble.members) > len(BELL_MATRICES):
         raise ValidationError("at most 4 ensemble members are supported")
     members = [s.coefficient_matrix()[None] for s in ensemble.states]
-    return bool(pointer_feasible(pointer_spectra(members, ensemble.probs)[0, 0], tol))
+    return bool(pointer_feasible(pointer_lambda_max(members, ensemble.probs)[0], tol))
 
 
 def perfect_discrimination_feasible(
@@ -190,8 +191,7 @@ def three_state_feasible(
     pointer states.
     """
     members = family_matrices(family.a, family.b, family.c, family.d)[list(check_which(which)), None]
-    lam = pointer_spectra(members, check_family_priors(probs, 3))
-    return bool(pointer_feasible(lam[0, 0], tol))
+    return bool(pointer_feasible(pointer_lambda_max(members, check_family_priors(probs, 3))[0], tol))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 Grid points are independent; the scans below evaluate them a block at a time,
 whenever results are read or written, through the kernels the per-point calls
 of :mod:`entdisc.discrimination` run: the family's closed-form lambda_1 and the
-batched pointer spectra of a three-member subset. Rows come in deterministic
-row-major order (outer loop a^2, inner loop c^2), so repeated runs produce
-byte-identical output.
+batched top pointer-state eigenvalue of a three-member subset. Rows come in
+deterministic row-major order (outer loop a^2, inner loop c^2), so repeated
+runs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import alpha2_max_from_lambda, family_lambda_max, pointer_feasible, pointer_spectra
+from .discrimination import alpha2_max_from_lambda, family_lambda_max, pointer_feasible, pointer_lambda_max
 from .errors import ValidationError
 from .spectra import binary_entropy, entropy_terms
 from .states import BellFamily, check_family_priors, check_which, family_matrices
@@ -171,7 +171,7 @@ def _scan_columns(mode: str, axis: np.ndarray, probs: list[float], indices, poin
     amplitudes = np.sqrt(a2), np.sqrt(1.0 - a2), np.sqrt(c2), np.sqrt(1.0 - c2)
     if mode == "feasible3":
         members = family_matrices(*amplitudes)
-        columns["feasible_unassisted"] = pointer_feasible(pointer_spectra([members[i] for i in indices], probs)[:, 0])
+        columns["feasible_unassisted"] = pointer_feasible(pointer_lambda_max([members[i] for i in indices], probs))
         return columns
     columns["feasible_unassisted"] = pointer_feasible(family_lambda_max(*amplitudes, probs))
     columns["alpha2_max"] = alpha2 = alpha2_max_from_lambda(family_lambda_max(*amplitudes, [0.25] * 4))

@@ -5,10 +5,10 @@ from a dense eigensolve of the reduced density matrix (the package uses SVD),
 entropies from a plain Python loop, and the resource boundary from a brute
 grid scan (the package uses the closed form), and pointer-state top
 eigenvalues from an index-loop build and a dense eigensolve (the package uses
-a closed form for the family and a batched SVD otherwise). ``RecordingWriter``
-stands in for a text file, or wraps one, to show how output reaches it;
-``NullWriter`` discards it; and ``fail_on_second_block`` stops a sweep part
-way through.
+a closed form for the family and a batched build from the Bell matrices
+otherwise). ``RecordingWriter`` stands in for a text file, or wraps one, to
+show how output reaches it; ``NullWriter`` discards it; and
+``fail_on_second_block`` stops a sweep part way through.
 """
 
 import itertools
@@ -91,16 +91,16 @@ def family_member_matrices(a2: float, c2: float) -> list:
 def loop_lambda_max(members, probs) -> float:
     """Top pointer-state eigenvalue by an index-loop build and a dense eigensolve.
 
-    Member k (a 2x2 coefficient matrix) is weighted by sqrt(probs[k]) and
-    paired with the k-th Bell state; the AC:BD composite is filled entry by
-    entry and lambda_1 is the top eigenvalue of M M^T.
+    Member k (a 2x2 coefficient matrix, real or complex) is weighted by
+    sqrt(probs[k]) and paired with the k-th Bell state; the AC:BD composite is
+    filled entry by entry and lambda_1 is the top eigenvalue of M M^dagger.
     """
     bell = family_member_matrices(0.5, 0.5)
-    m = np.zeros((4, 4))
+    m = np.zeros((4, 4), dtype=complex)
     for k, (psi, p) in enumerate(zip(members, probs)):
         for i, j, x, y in itertools.product(range(2), repeat=4):
             m[2 * i + x, 2 * j + y] += math.sqrt(p) * psi[i][j] * bell[k][x][y]
-    return float(np.linalg.eigvalsh(m @ m.T)[-1])
+    return float(np.linalg.eigvalsh(m @ m.conj().T)[-1])
 
 
 class RecordingWriter:

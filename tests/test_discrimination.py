@@ -31,7 +31,7 @@ from entdisc import (
     tensor,
     three_state_feasible,
 )
-from entdisc.discrimination import pointer_spectra
+from entdisc.discrimination import pointer_lambda_max
 from helpers import (
     alpha2_max_scan,
     entropy_direct,
@@ -174,7 +174,7 @@ class TestEnsembleDiscrimination:
             ensemble = Ensemble(tuple(zip(rng.dirichlet(np.ones(size)).tolist(), states)))
             lam, expected = object_route(ensemble)
             members = np.stack([s.coefficient_matrix() for s in states])[:, None]
-            assert np.allclose(pointer_spectra(members, ensemble.probs)[0], lam.entries, rtol=0.0, atol=1e-12)
+            assert pointer_lambda_max(members, ensemble.probs)[0] == pytest.approx(lam.entries[0], rel=0.0, abs=1e-12)
             assert ensemble_discrimination_feasible(ensemble) == expected
             verdicts.add(expected)
         assert verdicts == {True, False}
@@ -260,6 +260,31 @@ class TestClosedForm:
         for probs in ([0.5, 0.5], [0.5, 0.5, 0.5, -0.5], [0.3, 0.3, 0.3, 0.3]):
             with pytest.raises(ValidationError):
                 closed_form_lhs(family, probs)
+
+
+class TestPointerLambdaMax:
+    def test_against_loop_eigensolve(self):
+        # part 1: random complex 2x2 sets of 1-4 members with random priors
+        rng = np.random.default_rng(17)
+        for trial in range(200):
+            size = 1 + trial % 4
+            members = np.stack([random_pure_state(rng, 2, 2).coefficient_matrix() for _ in range(size)])
+            probs = rng.dirichlet(np.ones(size)).tolist()
+            lam = loop_lambda_max(members, probs)
+            assert pointer_lambda_max(members[:, None], probs) == pytest.approx([lam], rel=0.0, abs=1e-12)
+        # part 2: three-member subsets in every order over a 21 x 21 lattice, both verdicts seen
+        seen = {True: 0, False: 0}
+        for a2, c2 in itertools.product(np.linspace(0.5, 1.0, 21), repeat=2):
+            family, members = BellFamily.from_squared(a2, c2), family_member_matrices(a2, c2)
+            for which in itertools.permutations(range(4), 3):
+                for probs in (None, [0.5, 0.3, 0.2]):
+                    lam = loop_lambda_max([members[k] for k in which], probs or [1 / 3] * 3)
+                    if abs(lam - 0.5 - DEFAULT_TOL) <= 1e-12:
+                        continue
+                    verdict = three_state_feasible(family, which, probs)
+                    assert verdict == (lam <= 0.5 + DEFAULT_TOL), (a2, c2, which, probs)
+                    seen[verdict] += 1
+        assert min(seen.values()) > 1000
 
 
 class TestThreeState:

@@ -526,7 +526,7 @@ class TestStreaming:
         assert list(nested) == rows[5:9000:13][::-1][::2]
         assert records_to_csv(nested) == records_to_csv(rows[5:9000:13][::-1][::2])
 
-    @pytest.mark.parametrize("mode", ["assist", "preserve"])
+    @pytest.mark.parametrize("mode", ["assist", "preserve", "feasible3"])
     def test_write_memory_flat_in_grid_n(self, mode, monkeypatch):
         # write_csv computes, formats and writes one block at a time, so the
         # memory it allocates does not grow with the lattice: grid 301 has 4
@@ -534,14 +534,17 @@ class TestStreaming:
         # Both grids fill whole CSV_CHUNK_ROWS blocks (grid 151 has 22 801
         # points, five full blocks and a partial one), so both reach the
         # one-block peak. With whole-lattice columns and a whole CSV text,
-        # both modes peaked 4 times higher at grid 301 than at grid 151.
+        # assist and preserve peaked 4 times higher at grid 301 than at grid 151.
+        # Each mode's lambda_1 kernel returns one value per point of its batch.
+        kernel = "pointer_lambda_max" if mode == "feasible3" else "family_lambda_max"
         batches = []
 
-        def spy(a, b, c, d, probs, _original=entdisc.sweep.family_lambda_max):
-            batches.append(len(a))
-            return _original(a, b, c, d, probs)
+        def spy(*args, _original=getattr(entdisc.sweep, kernel)):
+            lam = _original(*args)
+            batches.append(len(lam))
+            return lam
 
-        monkeypatch.setattr(entdisc.sweep, "family_lambda_max", spy)
+        monkeypatch.setattr(entdisc.sweep, kernel, spy)
         peaks = {}
         for grid_n in (151, 301):
             tracemalloc.start()
@@ -552,4 +555,4 @@ class TestStreaming:
                 tracemalloc.stop()
         assert peaks[301] <= 1.5 * peaks[151], peaks
         assert max(batches, default=0) <= CSV_CHUNK_ROWS
-        assert (len(batches) > 0) == (mode == "assist")
+        assert (len(batches) > 0) == (mode != "preserve")
