@@ -251,8 +251,8 @@ def preserve_spectrum(
     spectrum. Any resource able to fund identification without degrading the
     identified state must have a spectrum majorized by this vector.
     """
-    probs = check_family_priors(probs, 4)
-    return mix([(p, tensor(s, s)) for p, s in zip(probs, family.spectra())])
+    first, second = (tensor(s, s) for s in family.spectra()[::2])
+    return mix(zip(check_family_priors(probs, 4), (first, first, second, second)))
 
 
 def preserve_cost(family: BellFamily, probs: Sequence[float] | None = None) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 from .discrimination import alpha2_max_from_lambda, family_lambda_max, pointer_feasible, pointer_lambda_max
 from .errors import ValidationError
 from .spectra import binary_entropy, entropy_terms
-from .states import BellFamily, check_family_priors, check_which, family_matrices
+from .states import BellFamily, _is_index, check_family_priors, check_which, family_matrices
 
 __all__ = [
     "CSV_HEADER",
@@ -95,9 +95,9 @@ class SweepTable(Sequence):
     def __reversed__(self) -> Iterator[SweepRecord]:
         return iter(self[::-1])
 
-    def _blocks(self) -> Iterator[dict[str, np.ndarray]]:
+    def _blocks(self, text: bool = False) -> Iterator[dict[str, np.ndarray]]:
         for start in range(0, len(self), CSV_CHUNK_ROWS):
-            yield _scan_columns(*self._scan, self._points[start : start + CSV_CHUNK_ROWS])
+            yield _scan_columns(*self._scan, self._points[start : start + CSV_CHUNK_ROWS], text)
 
 
 def avg_entanglement(family: BellFamily, probs: Sequence[float] | None = None) -> float:
@@ -133,25 +133,27 @@ def run_sweep(
     """
     if mode not in SWEEP_MODES:
         raise ValidationError(f"unknown sweep mode {mode!r}; expected one of {SWEEP_MODES}")
-    if not 2 <= grid_n <= MAX_GRID_N:
-        raise ValidationError(f"grid_n must be between 2 and {MAX_GRID_N}, got {grid_n}")
+    if not (_is_index(grid_n) and 2 <= grid_n <= MAX_GRID_N):
+        raise ValidationError(f"grid_n must be between 2 and {MAX_GRID_N}, got {grid_n!r}")
     probs = check_family_priors(probs, 3 if mode == "feasible3" else 4)
     which = check_which(which)
     indices = which if mode == "feasible3" else range(4)
-    return SweepTable((mode, np.linspace(0.5, 1.0, grid_n), probs, indices), range(grid_n**2))
+    axis = np.linspace(0.5, 1.0, grid_n)
+    return SweepTable((mode, axis, probs, indices, np.array([*map(format_value, axis.tolist())], object)), range(grid_n**2))
 
 
-def _scan_columns(mode: str, axis: np.ndarray, probs: list[float], indices, points: range) -> dict[str, np.ndarray]:
+def _scan_columns(mode: str, axis: np.ndarray, probs: list[float], indices, axis_text, points: range, text: bool) -> dict:
     """One mode's columns at the flat lattice points ``points``: point k is (axis[k // n], axis[k % n]).
 
-    Axis entropies are gathered and the rest is elementwise (``assist`` takes the closed-form lambda_1
-    at the given and at equal priors), so no value depends on the block.
+    Axis entropies are gathered and the rest is elementwise (``assist`` takes the closed-form lambda_1 at the
+    given and at equal priors), so no value depends on the block. With ``text``, a2 and c2 hold their axis_text.
     """
     rows, cols = np.divmod(np.arange(points.start, points.stop, points.step), axis.size)
     a2, c2 = axis[rows], axis[cols]
     h = _binary_entropy_rows(axis)
     member_entropy = (h[rows], h[rows], h[cols], h[cols])
-    columns = {"a2": a2, "c2": c2, "avg_ent_ebits": sum(p * member_entropy[i] for p, i in zip(probs, indices))}
+    columns = {"a2": axis_text[rows] if text else a2, "c2": axis_text[cols] if text else c2}
+    columns["avg_ent_ebits"] = sum(p * member_entropy[i] for p, i in zip(probs, indices))
     if mode == "preserve":
         # Each member's self-tensored spectrum is already sorted, so the
         # mixture is the component-wise weighted sum (x^2, xy, xy, y^2),
@@ -180,27 +182,25 @@ def _scan_columns(mode: str, axis: np.ndarray, probs: list[float], indices, poin
 
 
 def format_value(value) -> str:
-    """The text of one output value: None is empty, bools are true/false, numbers %.12g."""
+    """The text of one output value: None is empty, bools (numpy's too) are true/false, numbers %.12g."""
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     return format(value, ".12g")
 
 
 def _csv_rows(columns: dict[str, np.ndarray]) -> str:
-    """One block's CSV rows by one %-pattern: %.12g floats (format_value's text), true/false, empty if absent."""
-    present = [columns[name] for name in _FIELDS if name in columns]
-    patterns = ("" if name not in columns else "%s" if columns[name].dtype == bool else "%.12g" for name in _FIELDS)
-    row = ",".join(patterns) + "\n"
-    cells = [np.where(column, "true", "false") if column.dtype == bool else column for column in present]
-    return "".join([row % values for values in zip(*(column.tolist() for column in cells))])
+    """One block's CSV rows by one %-call: floats %.12g (format_value's text), text as given, bools true/false."""
+    cells = [np.where(c, "true", "false") if c.dtype == bool else c for c in (columns[n] for n in _FIELDS if n in columns)]
+    row = ",".join("" if n not in columns else "%.12g" if columns[n].dtype == float else "%s" for n in _FIELDS) + "\n"
+    return (row * len(cells[0])) % tuple(np.array(cells, object).T.ravel().tolist())
 
 
 def records_to_csv(records: Sequence[SweepRecord]) -> str:
     """Render records under the fixed header: a SweepTable by columns, other records row by row."""
     if isinstance(records, SweepTable):
-        rows = map(_csv_rows, records._blocks())
+        rows = map(_csv_rows, records._blocks(text=True))
     else:
         rows = (",".join([format_value(getattr(r, name)) for name in _FIELDS]) + "\n" for r in records)
     return "".join([CSV_HEADER, "\n", *rows])

@@ -25,8 +25,9 @@ from entdisc import (
     three_state_feasible,
     write_csv,
 )
+import entdisc.cli
 import entdisc.sweep
-from entdisc.sweep import CSV_CHUNK_ROWS, MAX_GRID_N
+from entdisc.sweep import CSV_CHUNK_ROWS, MAX_GRID_N, format_value
 from helpers import NullWriter, RecordingWriter, assert_block_writes, fail_on_second_block
 
 
@@ -80,6 +81,14 @@ class TestRunSweep:
             run_sweep("assist", MAX_GRID_N + 1)
         with pytest.raises(ValidationError, match="probabilities sum to"):
             run_sweep("assist", MAX_GRID_N, probs=[0.9] * 4)
+
+    @pytest.mark.parametrize("grid_n", [5.0, "5", True, None, 5.5])
+    def test_rejects_non_integer_grid(self, grid_n):
+        # a float or a string used to get past the range check and fail later
+        # with a TypeError; numpy integers pass like ints
+        with pytest.raises(ValidationError, match="grid_n must be between 2 and 1001"):
+            run_sweep("preserve", grid_n)
+        assert len(run_sweep("preserve", np.int64(5))) == 25
 
     def test_rejects_wrong_prob_count(self):
         with pytest.raises(ValidationError):
@@ -421,6 +430,28 @@ class TestCsv:
         assert len(opened) == 1
         assert_block_writes(opened[0].writes, text)
         assert target.read_bytes() == text.encode("utf-8")
+
+
+class TestBlockRendering:
+    """A table block is rendered in one formatting call and must print what format_value gives row by row."""
+
+    def test_numpy_bools_render_as_words(self, capsys):
+        assert format_value(np.True_) == "true" and format_value(np.False_) == "false"
+        assert records_to_csv([SweepRecord(0.5, 0.5, 0.1, np.True_)]).splitlines()[1] == "0.5,0.5,0.1,true,,,"
+        entdisc.cli._emit({"x": np.True_, "y": [np.False_, True]}, False)
+        assert capsys.readouterr().out == "x = true\ny = false, true\n"
+
+    @pytest.mark.parametrize(
+        "mode, probs", [("assist", [0.4, 0.3, 0.2, 0.1]), ("preserve", None), ("feasible3", [0.5, 0.3, 0.2])]
+    )
+    @pytest.mark.parametrize("rows", [slice(None, None, -1), slice(5, 9000, 13)])
+    def test_write_csv_on_strided_tables(self, mode, probs, rows):
+        # _write_blocks slices a strided table again, block by block; each
+        # slice must render the points that record-by-record formatting does
+        table = run_sweep(mode, 101, probs=probs, which=(3, 0, 2))[rows]
+        buffer = io.StringIO()
+        write_csv(table, buffer)
+        assert buffer.getvalue() == records_to_csv(list(table))
 
 
 class TestWriteCsvPath:

@@ -5,15 +5,18 @@ in its own child process, and reads the child's peak RSS (``ru_maxrss``) from
 ``os.wait4``. Exits 1 if any mode's grid-1001 peak is more than RATIO times
 its grid-101 peak. After each child it also checks what the child left: the
 output directory must hold only the CSV (no temporary file left beside it),
-and the CSV must have grid_n^2 + 1 lines (no short write). Standard library only, so this process stays small: a
-child's peak RSS also counts the memory it shared with this process before it
-started the interpreter.
+and the CSV must have grid_n^2 + 1 lines (no short write). Each grid-1001 CSV
+must also match its SHA-256 in DIGESTS, so the 245-block output keeps every
+byte. Standard library only, so this process stays small: a child's peak RSS
+also counts the memory it shared with this process before it started the
+interpreter.
 
     python3 tools/check_sweep_rss.py
 
 The package is taken from ``src/`` beside this script.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -23,6 +26,13 @@ import time
 MODES = ("assist", "preserve", "feasible3")
 GRIDS = (101, 1001)
 RATIO = 1.5
+# SHA-256 of each mode's grid-1001 CSV at equal priors, as emitted since the
+# closed-form lambda_1 for assist; a change in rendering must not move a byte.
+DIGESTS = {
+    "assist": "e6c9ff7b2675926f71954b58d2259d2537d9a76eb98ea04c78cbddb69d876656",
+    "preserve": "468bda82b50eeeaddef0675448fef0a5a66a2b138ba9a62a5dd33d76d269be5c",
+    "feasible3": "7a50d1eb36ea559b4b8a460a291a9d0b2bea3aa23974b826194490dbb752fd61",
+}
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -39,10 +49,15 @@ def run_sweep(mode: str, grid_n: int, out: str) -> tuple[float, float]:
     left = sorted(os.listdir(os.path.dirname(out)))
     if left != [os.path.basename(out)]:
         sys.exit(f"sweep --mode {mode} --grid-n {grid_n} left {left} in its output directory")
+    lines, digest = 0, hashlib.sha256()
     with open(out, "rb") as handle:
-        lines = sum(block.count(b"\n") for block in iter(lambda: handle.read(1 << 20), b""))
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            lines += block.count(b"\n")
+            digest.update(block)
     if lines != grid_n**2 + 1:
         sys.exit(f"sweep --mode {mode} --grid-n {grid_n} wrote {lines} lines, expected {grid_n**2 + 1}")
+    if grid_n == GRIDS[-1] and digest.hexdigest() != DIGESTS[mode]:
+        sys.exit(f"sweep --mode {mode} --grid-n {grid_n} wrote SHA-256 {digest.hexdigest()}, expected {DIGESTS[mode]}")
     return seconds, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
 
 
