@@ -242,17 +242,20 @@ def assisted_alpha2_max(family: BellFamily) -> CostReport:
     return CostReport(alpha2_max=alpha2, cost_ebits=binary_entropy(alpha2), first_sum_bound=alpha2, feasible=True)
 
 
-def preserve_spectrum(
-    family: BellFamily, probs: Sequence[float] | None = None
-) -> ProbVector:
+def preserve_cap(t_a, t_c, probs: Sequence[float]):
+    """(p0 + p1) t_a + (p2 + p3) t_c, elementwise: the priors' mixture of the pairs' sorted self-tensored spectra."""
+    return (probs[0] + probs[1]) * t_a + (probs[2] + probs[3]) * t_c
+
+
+def preserve_spectrum(family: BellFamily, probs: Sequence[float] | None = None) -> ProbVector:
     """Spectrum cap for a resource that lets discrimination keep the states intact.
 
-    The probability-weighted mixture of each member's self-tensored reduced
-    spectrum. Any resource able to fund identification without degrading the
-    identified state must have a spectrum majorized by this vector.
+    The probability-weighted mixture of each member's self-tensored reduced spectrum
+    (``preserve_cap``). Any resource able to fund identification without degrading
+    the identified state must have a spectrum majorized by this vector.
     """
-    first, second = (tensor(s, s) for s in family.spectra()[::2])
-    return mix(zip(check_family_priors(probs, 4), (first, first, second, second)))
+    first, second = (tensor(s, s).entries for s in family.spectra()[::2])
+    return ProbVector(preserve_cap(first, second, check_family_priors(probs, 4)))
 
 
 def preserve_cost(family: BellFamily, probs: Sequence[float] | None = None) -> float:

@@ -29,20 +29,23 @@ __all__ = [
     "tensor",
 ]
 
-# Absolute tolerance for partial-sum comparisons and normalization checks.
-# Amplitudes are O(1), so double precision leaves ample headroom.
+# Absolute tolerance for partial-sum comparisons and normalization checks, and
+# for an entry's bounds: negatives above -DEFAULT_TOL are numerical noise
+# (eigensolvers routinely return -1e-16) and clamped to zero. Amplitudes are
+# O(1), so double precision leaves ample headroom.
 DEFAULT_TOL = 1e-9
 
-# Entries below -NEG_ENTRY_TOL are rejected; negatives above it are treated as
-# numerical noise (eigensolvers routinely return -1e-16) and clamped to zero.
-NEG_ENTRY_TOL = 1e-9
+
+def _is_index(value) -> bool:
+    """An integer that is not a bool: the one rule for dimensions, sizes and member indices."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_probabilities(values) -> np.ndarray:
     """Validate probabilities given in any order; returns them as a float array.
 
-    Entries must be finite numbers, at least -NEG_ENTRY_TOL, and must sum to
-    1 within DEFAULT_TOL; negatives inside the tolerance are clamped to zero.
+    Entries must be finite numbers within DEFAULT_TOL of [0, 1], and must sum
+    to 1 within DEFAULT_TOL; negatives inside the tolerance are clamped to zero.
     """
     try:
         arr = np.asarray(values, dtype=float)
@@ -57,8 +60,8 @@ def check_probabilities(values) -> np.ndarray:
         raise ValidationError("probabilities must be finite")
     low, high = min(entries), max(entries)
     if low < 0.0:
-        if low < -NEG_ENTRY_TOL:
-            raise ValidationError(f"probability {low:.3e} is negative beyond tolerance {NEG_ENTRY_TOL:.0e}")
+        if low < -DEFAULT_TOL:
+            raise ValidationError(f"probability {low:.3e} is negative beyond tolerance {DEFAULT_TOL:.0e}")
         arr = np.clip(arr, 0.0, None)
     # The entries are now nonnegative, so the sum is at least the largest:
     # this rejects only what the sum check would, before huge entries can
@@ -134,9 +137,9 @@ def tensor(x: ProbVector, y: ProbVector) -> ProbVector:
 
 
 def pad(x: ProbVector, d: int) -> ProbVector:
-    """Append zeros up to dimension ``d`` (``d`` must not shrink the vector)."""
-    if d < x.dim:
-        raise ValidationError(f"cannot pad dimension {x.dim} down to {d}")
+    """Append zeros up to dimension ``d``, an integer that must not shrink the vector."""
+    if not (_is_index(d) and d >= x.dim):
+        raise ValidationError(f"cannot pad dimension {x.dim} to {d!r}")
     return ProbVector(_padded_desc(x.entries, d))
 
 
@@ -176,7 +179,7 @@ def entropy_bits(x: ProbVector) -> float:
 
 def binary_entropy(p: float) -> float:
     """Entropy in bits of the two-outcome distribution (p, 1-p)."""
-    if p < -NEG_ENTRY_TOL or p > 1.0 + NEG_ENTRY_TOL:
+    if not -DEFAULT_TOL <= p <= 1.0 + DEFAULT_TOL:
         raise ValidationError(f"binary entropy argument {p!r} outside [0, 1]")
     p = min(max(p, 0.0), 1.0)
     return float(entropy_terms(p) + entropy_terms(1.0 - p))

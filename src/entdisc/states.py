@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spectra import DEFAULT_TOL, ProbVector, check_probabilities, entropy_bits
+from .spectra import DEFAULT_TOL, ProbVector, _is_index, check_probabilities, entropy_bits
 
 __all__ = [
     "BellFamily",
@@ -31,10 +31,6 @@ __all__ = [
     "relative_entropy_ent",
     "schmidt",
 ]
-
-
-def _is_index(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,10 +2,10 @@
 
 Grid points are independent; the scans below evaluate them a block at a time,
 whenever results are read or written, through the kernels the per-point calls
-of :mod:`entdisc.discrimination` run: the family's closed-form lambda_1 and the
-batched top pointer-state eigenvalue of a three-member subset. Rows come in
-deterministic row-major order (outer loop a^2, inner loop c^2), so repeated
-runs produce byte-identical output.
+of :mod:`entdisc.discrimination` run: the family's closed-form lambda_1, the
+batched top pointer-state eigenvalue of a three-member subset and the
+preserving cap. Rows come in deterministic row-major order (outer loop a^2,
+inner loop c^2), so repeated runs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import alpha2_max_from_lambda, family_lambda_max, pointer_feasible, pointer_lambda_max
+from .discrimination import alpha2_max_from_lambda, family_lambda_max, pointer_feasible, pointer_lambda_max, preserve_cap
 from .errors import ValidationError
-from .spectra import binary_entropy, entropy_terms
-from .states import BellFamily, _is_index, check_family_priors, check_which, family_matrices
+from .spectra import _is_index, binary_entropy, entropy_terms
+from .states import BellFamily, check_family_priors, check_which, family_matrices
 
 __all__ = [
     "CSV_HEADER",
@@ -100,13 +100,14 @@ class SweepTable(Sequence):
             yield _scan_columns(*self._scan, self._points[start : start + CSV_CHUNK_ROWS], text)
 
 
+def _mean_entropy(h_a, h_c, probs: Sequence[float], indices=range(4)):
+    """Prior-weighted mean of the members' entropies (h_a, h_a, h_c, h_c) over ``indices``, elementwise."""
+    return sum(p * (h_a, h_a, h_c, h_c)[i] for p, i in zip(probs, indices))
+
+
 def avg_entanglement(family: BellFamily, probs: Sequence[float] | None = None) -> float:
     """Probability-weighted mean entanglement entropy of the four members."""
-    probs = check_family_priors(probs, 4)
-    h_a = binary_entropy(family.a**2)
-    h_c = binary_entropy(family.c**2)
-    member_entropy = (h_a, h_a, h_c, h_c)
-    return float(sum(p * e for p, e in zip(probs, member_entropy)))
+    return float(_mean_entropy(binary_entropy(family.a**2), binary_entropy(family.c**2), check_family_priors(probs, 4)))
 
 
 def _binary_entropy_rows(p: np.ndarray) -> np.ndarray:
@@ -151,23 +152,13 @@ def _scan_columns(mode: str, axis: np.ndarray, probs: list[float], indices, axis
     rows, cols = np.divmod(np.arange(points.start, points.stop, points.step), axis.size)
     a2, c2 = axis[rows], axis[cols]
     h = _binary_entropy_rows(axis)
-    member_entropy = (h[rows], h[rows], h[cols], h[cols])
     columns = {"a2": axis_text[rows] if text else a2, "c2": axis_text[cols] if text else c2}
-    columns["avg_ent_ebits"] = sum(p * member_entropy[i] for p, i in zip(probs, indices))
+    columns["avg_ent_ebits"] = _mean_entropy(h[rows], h[cols], probs, indices)
     if mode == "preserve":
-        # Each member's self-tensored spectrum is already sorted, so the
-        # mixture is the component-wise weighted sum (x^2, xy, xy, y^2),
-        # whose two equal cross terms are computed once.
-        w_a, w_c = probs[0] + probs[1], probs[2] + probs[3]
-        b2, d2 = 1.0 - a2, 1.0 - c2
-        cross = entropy_terms(w_a * a2 * b2 + w_c * c2 * d2)
-        cost = entropy_terms(w_a * a2**2 + w_c * c2**2)
-        cost += cross
-        cost += cross
-        cost += entropy_terms(w_a * b2**2 + w_c * d2**2)
-        # Clamped at 0 like entropy_bits: priors summing to 1 only within
-        # rounding can leave a -1e-16 cost at the product corner.
-        columns["preserve_cost_ebits"] = np.maximum(cost, 0.0, out=cost)
+        # Each pair's sorted self-tensored spectrum (x^2, xy, xy, y^2), y = 1 - x, gathered; xy's entropy counts twice.
+        e = [entropy_terms(preserve_cap(t[rows], t[cols], probs)) for t in (axis**2, axis * (1.0 - axis), (1.0 - axis) ** 2)]
+        # Clamped at 0 like entropy_bits: priors summing to 1 only within rounding can leave -1e-16 at (1, 1).
+        columns["preserve_cost_ebits"] = np.maximum(e[0] + e[1] + e[1] + e[2], 0.0)
         return columns
 
     amplitudes = np.sqrt(a2), np.sqrt(1.0 - a2), np.sqrt(c2), np.sqrt(1.0 - c2)

@@ -211,7 +211,7 @@ class TestStdoutPins:
              "a2 = 0.8\nc2 = 0.7\npreserve_cost_ebits = 1.55592182565\n"
              "preserve_spectrum = 0.595, 0.175, 0.175, 0.055\n",
              '{"a2": 0.8, "c2": 0.7, "preserve_cost_ebits": 1.5559218256507088, '
-             '"preserve_spectrum": [0.5950000000000001, 0.175, 0.175, 0.05500000000000001]}\n'),
+             '"preserve_spectrum": [0.595, 0.175, 0.175, 0.05500000000000001]}\n'),
             (["bounds", *A2_C2],
              "n_robustness = 2.15255412687\nn_rel_entropy = 2.29133941694\nn_geometric = 2.98666666667\n",
              '{"n_robustness": 2.1525541268672366, "n_rel_entropy": 2.291339416942349, '
@@ -413,6 +413,16 @@ class TestInputContract:
 
     def test_negative_priors_in_assist_sweep(self, capsys):
         self.assert_rejected(capsys, "sweep", "--mode", "assist", "--grid-n", "3", "--probs", "2,-1,0,0")
+
+    def test_non_numeric_target_weight(self, capsys):
+        line = self.assert_rejected(capsys, "convert", "--source", "0.5,0.5", "--target", "x:0.5,0.5")
+        assert line == "error: --target weight 'x' is not a number"
+
+    def test_ensemble_file_holding_an_array(self, capsys, tmp_path):
+        path = tmp_path / "ens.json"
+        path.write_text("[0.5, 0.5]")
+        line = self.assert_rejected(capsys, "bounds", "--ensemble", str(path))
+        assert line == "error: ensemble file must contain a JSON object"
 
     def test_nan_prior_in_family_file(self, capsys, tmp_path):
         path = tmp_path / "ens.json"

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from entdisc import (
     tensor,
     three_state_feasible,
 )
-from entdisc.discrimination import pointer_lambda_max
+from entdisc.discrimination import pointer_lambda_max, preserve_cap
 from helpers import (
     alpha2_max_scan,
     entropy_direct,
@@ -106,6 +107,11 @@ class TestPointerState:
                 Ensemble(((0.5, tilted), (0.5, tilted))),
                 [bell_states()[0], tilted],
             )
+
+    def test_rejects_pointers_of_different_dimensions(self):
+        pointers = [PureState(np.array([1.0, 0.0, 0.0, 0.0]), 2, 2), PureState(np.array([0.0, 1.0, 0.0, 0.0]), 1, 4)]
+        with pytest.raises(ValidationError, match="same local dimensions"):
+            pointer_state(Ensemble.equal_priors(bell_states()[:2]), pointers)
 
     def test_rejects_pointer_count_mismatch(self):
         with pytest.raises(ValidationError):
@@ -486,6 +492,18 @@ class TestPreserve:
             for a2 in np.linspace(1.0, 0.5, 21)
         ]
         assert all(b >= a - 1e-12 for a, b in zip(costs, costs[1:]))
+
+    def test_cap_is_elementwise_and_within_two_ulps_of_exact(self):
+        # (4, k) rows give the k single calls' caps, each within 2 ulps of the exact weighted sum.
+        rng = np.random.default_rng(5)
+        rows = [np.array([x * x, x * (1 - x), x * (1 - x), (1 - x) ** 2]) for x in rng.uniform(0.5, 1.0, (2, 40))]
+        probs = rng.dirichlet(np.ones(4)).tolist()
+        cap = preserve_cap(*rows, probs)
+        w_a, w_c = Fraction(probs[0]) + Fraction(probs[1]), Fraction(probs[2]) + Fraction(probs[3])
+        for k in range(40):
+            assert np.array_equal(cap[:, k], preserve_cap(rows[0][:, k], rows[1][:, k], probs))
+            exact = [float(w_a * Fraction(t_a) + w_c * Fraction(t_c)) for t_a, t_c in zip(rows[0][:, k], rows[1][:, k])]
+            assert np.all(np.abs(cap[:, k] - exact) <= 2 * np.spacing(exact))
 
     def test_nonuniform_priors_route(self):
         family = BellFamily.from_squared(0.7, 0.9)

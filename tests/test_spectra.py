@@ -11,7 +11,7 @@ from entdisc import (
     pad,
     tensor,
 )
-from entdisc.spectra import majorized_rows
+from entdisc.spectra import check_probabilities, majorized_rows
 from helpers import majorized_image, random_prob_vector
 
 
@@ -27,6 +27,15 @@ class TestProbVector:
     def test_rejects_large_negatives(self):
         with pytest.raises(ValidationError):
             ProbVector([1.1, -0.1])
+
+    def test_iterates_and_prints_sorted_entries(self):
+        v = ProbVector([0.25, 0.75])
+        assert list(v) == [0.75, 0.25]
+        assert repr(v) == "ProbVector([0.75, 0.25])"
+
+    def test_rejects_non_numbers(self):
+        with pytest.raises(ValidationError, match="must be numbers"):
+            check_probabilities(["x"])
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValidationError):
@@ -205,6 +214,14 @@ class TestEntropy:
         with pytest.raises(ValidationError):
             binary_entropy(1.5)
 
+    def test_binary_entropy_bounds_share_one_tolerance(self):
+        # NaN failed both comparisons of the old check and came back as nan.
+        for bad in (float("nan"), -2e-9, 1.0 + 2e-9):
+            with pytest.raises(ValidationError, match="outside"):
+                binary_entropy(bad)
+        assert binary_entropy(-5e-10) == 0.0
+        assert binary_entropy(1.0 + 5e-10) == 0.0
+
 
 class TestPad:
     def test_pads_with_zeros(self):
@@ -219,3 +236,12 @@ class TestPad:
     def test_rejects_shrinking(self):
         with pytest.raises(ValidationError):
             pad(ProbVector([0.6, 0.4]), 1)
+
+    @pytest.mark.parametrize("d", [2.5, True, 2.0, "2"])
+    def test_rejects_non_integer_dimension(self, d):
+        # 2.5 raised TypeError and True returned the vector unpadded.
+        with pytest.raises(ValidationError, match="cannot pad"):
+            pad(ProbVector([1.0]), d)
+
+    def test_accepts_numpy_integer_dimension(self):
+        assert pad(ProbVector([1.0]), np.int64(2)).dim == 2

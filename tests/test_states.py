@@ -48,6 +48,10 @@ class TestPureState:
     def test_accepts_numpy_integer_dimensions(self):
         assert PureState(np.array([1.0, 0.0, 0.0, 0.0]), np.int64(2), np.int32(2)).coefficient_matrix().shape == (2, 2)
 
+    def test_from_matrix_rejects_flat_array(self):
+        with pytest.raises(ValidationError, match="two-dimensional"):
+            PureState.from_matrix(np.array([1.0, 0.0, 0.0, 0.0]))
+
     def test_matrix_round_trip(self):
         state = random_pure_state(np.random.default_rng(0), 3, 4)
         again = PureState.from_matrix(state.coefficient_matrix())
@@ -186,6 +190,10 @@ class TestStoredSpectrum:
 
 
 class TestBellFamily:
+    def test_rejects_unnormalized_second_pair(self):
+        with pytest.raises(ValidationError, match=r"c\^2 \+ d\^2 must equal 1"):
+            BellFamily(1.0, 0.0, 0.9, 0.1)
+
     def test_maximally_entangled_case_gives_bell_states(self):
         family = bell_family(0.5, 0.5)
         for got, want in zip(family, bell_states()):
@@ -321,6 +329,10 @@ class TestEnsemble:
                 Ensemble(((bad, BELL), (0.5, PRODUCT)))
             with pytest.raises(ValidationError):
                 Ensemble(((1.0, BELL), (bad, PRODUCT)))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValidationError, match="at least one member"):
+            Ensemble(())
 
     def test_validates_common_dimensions(self):
         odd = random_pure_state(np.random.default_rng(17), 4, 1)
