@@ -3,7 +3,7 @@
 Results go to standard output as ``key = value`` lines, or as a single JSON
 object under ``--json``. Validation problems and usage errors exit with
 status 2 and a one-line reason on standard error; unexpected failures exit
-with status 1.
+with status 1, and output cut short by a reader closing the pipe with 141.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import asdict
@@ -215,6 +216,8 @@ def _cmd_sweep(args) -> None:
     records = run_sweep(args.mode, grid_n=args.grid_n, probs=probs, which=which)
     try:
         write_csv(records, args.out or sys.stdout)
+    except BrokenPipeError:
+        raise
     except OSError as exc:
         raise ValidationError(f"cannot write CSV: {exc}")
 
@@ -335,6 +338,10 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         sys.stderr.write(_error_line("interrupted"))
         return 130
+    except BrokenPipeError:
+        # An early reader is no input error: exit as SIGPIPE would, with a quiet final flush to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -6,8 +6,9 @@ sum_i sqrt(p_i) |psi_i>_AB |phi_i>_CD with mutually orthogonal pointers
 phi_i, read as a bipartite state on the AC:BD cut. Distinguishing the
 ensemble then implies an ensemble transformation of the composite into the
 pointers, which majorization decides. ``_composite`` builds that state for
-``pointer_state`` and, batched with Bell pointers, for ``pointer_lambda_max``;
-the four-member family's top eigenvalue has a closed form (``family_lambda_max``).
+``pointer_state`` and, batched with Bell pointers, for ``pointer_lambda_max``,
+which decides general ensembles. The family's top eigenvalue has a closed form
+for every member order and subset (``family_lambda_max``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .states import (
     PureState,
     check_family_priors,
     check_which,
-    family_matrices,
 )
 
 __all__ = [
@@ -155,22 +155,39 @@ def perfect_discrimination_feasible(
     return bool(pointer_feasible(closed_form_lhs(family, probs), tol))
 
 
-def family_lambda_max(a, b, c, d, probs: list[float]):
-    """Top eigenvalue of the family's Bell-pointer state under ``probs``, clamped at 1, elementwise over arrays.
+def family_lambda_max(a, b, c, d, probs: list[float], order: tuple[int, ...] = (0, 1, 2, 3)):
+    """Top eigenvalue of the family's Bell-pointer state, clamped at 1, elementwise over arrays.
 
-    The 4x4 composite is an "X" matrix: 2x2 blocks on indices {0, 3} and {1, 2}. With non-negative inputs
-    the {0, 3} block bounds the other's entries in absolute value, so it holds lambda_1 = (Q + R)^2 / 8, where
-    Q = hypot((s0 + s1)(a + b), (s2 - s3)(c - d)), R = hypot((s0 - s1)(a - b), (s2 + s3)(c + d)), s_i = sqrt(p_i):
-    accurate to rounding even where (F + sqrt(F^2 - 4 det^2)) / 2 cancels. Equal priors give (a + b + c + d)^2 / 8,
-    summed in that order; at a = b = c = d it rounds to 1.0000000000000002, hence the clamp.
+    ``order[j]`` is the member on Bell pointer j and ``probs[j]`` its prior; a zero prior drops a member, so a
+    three-member order gets the missing member on pointer 3 at prior 0. Relabelling (a, b) as (b, -a), or (c, d)
+    as (d, -c), swaps a pair's members and negates one weight, and Paulis and a Hadamard on C and D permute the
+    pointers up to sign: only the pointers i < j of members 0 and 1, k < l of members 2 and 3, and the parity of
+    ``order`` (odd negates s_l) count. The real composite M has M (Z x S) = +-(Z x S) M, with S set by {i, j} in one
+    of three classes: Z for {0, 1} and {2, 3}; X for {0, 2} and {1, 3}, which the Hadamard maps onto Z; and W = XZ
+    for {0, 3} and {1, 2}. Z splits M into two real 2x2 blocks (the natural order's "X" matrix), and lambda_1 =
+    B^2 / 8 for the larger block's hypot sum B at s = sqrt(probs), accurate to rounding even where
+    (F + sqrt(F^2 - 4 det^2)) / 2 cancels. W^2 = -I makes M a complex 2x2 matrix: every eigenvalue of M M^T is
+    doubled, so the unit trace caps lambda_1 at 1/2, and the 2x2 Hermitian formula gives it from the block's
+    diagonal gap and off-diagonal entry (pointers taken as i, k, l, j).
+    Equal priors in the natural order give (a + b + c + d)^2 / 8, summed in that order; at a = b = c = d it rounds
+    to 1.0000000000000002, hence the clamp.
     """
-    if probs == [0.25] * 4:
-        lam = (a + b + c + d) ** 2 / 8.0
-    else:
-        s0, s1, s2, s3 = np.sqrt(probs)
-        q = np.hypot((s0 + s1) * (a + b), (s2 - s3) * (c - d))
-        lam = (q + np.hypot((s0 - s1) * (a - b), (s2 + s3) * (c + d))) ** 2 / 8.0
-    return np.minimum(lam, 1.0)
+    if order == (0, 1, 2, 3) and probs == [0.25] * 4:
+        return np.minimum((a + b + c + d) ** 2 / 8.0, 1.0)
+    if len(order) == 3:
+        order, probs = (*order, 6 - sum(order)), [*probs, 0.0]
+    slot = [order.index(member) for member in range(4)]
+    a, b = (b, -a) if slot[1] < slot[0] else (a, b)
+    c, d = (d, -c) if slot[3] < slot[2] else (c, d)
+    (i, j), (k, l), s = sorted(slot[:2]), sorted(slot[2:]), np.sqrt(probs)
+    s_l = -s[l] if sum(x > y for n, x in enumerate(order) for y in order[n + 1 :]) % 2 else s[l]
+    if i + j == 3:
+        gap = (probs[i] - probs[j]) * (a * a - b * b) + (probs[k] - probs[l]) * (c * c - d * d)
+        off = np.hypot((s[i] * s[k] - s_l * s[j]) * (a * d + b * c), (s[k] * s[j] - s[i] * s_l) * (a * c - b * d))
+        return 0.25 + np.hypot(gap, 2.0 * off) / 4.0
+    b03, b12 = (np.hypot((s[i] + t) * (a + b), (s[k] - u) * (c - d)) + np.hypot((s[i] - t) * (a - b), (s[k] + u) * (c + d))
+                for t, u in ((s[j], s_l), (-s[j], -s_l)))
+    return np.minimum(np.maximum(b03, b12) ** 2 / 8.0, 1.0)
 
 
 def closed_form_lhs(family: BellFamily, probs: Sequence[float] | None = None) -> float:
@@ -188,10 +205,11 @@ def three_state_feasible(
 
     ``which`` selects three distinct member indices (zero-based). The chosen
     members are attached, in order, to the first three maximally entangled
-    pointer states.
+    pointer states, and the missing one to the fourth at prior 0.
     """
-    members = family_matrices(family.a, family.b, family.c, family.d)[list(check_which(which)), None]
-    return bool(pointer_feasible(pointer_lambda_max(members, check_family_priors(probs, 3))[0], tol))
+    which = check_which(which)
+    lam = family_lambda_max(family.a, family.b, family.c, family.d, check_family_priors(probs, 3), which)
+    return bool(pointer_feasible(lam, tol))
 
 
 @dataclass(frozen=True)

@@ -129,14 +129,9 @@ def reduced_spectrum(state: PureState) -> ProbVector:
     return spectrum
 
 
-def family_matrices(a, b, c, d) -> np.ndarray:
-    """Member coefficient matrices, shape (4, *np.shape(a), 2, 2), elementwise over arrays."""
-    out = np.zeros((4, *np.shape(a), 2, 2))
-    out[0, ..., 0, 0], out[0, ..., 1, 1] = a, b
-    out[1, ..., 0, 0], out[1, ..., 1, 1] = b, -a
-    out[2, ..., 0, 1], out[2, ..., 1, 0] = c, d
-    out[3, ..., 0, 1], out[3, ..., 1, 0] = d, -c
-    return out
+def family_matrices(a: float, b: float, c: float, d: float) -> np.ndarray:
+    """The four members' coefficient matrices, shape (4, 2, 2)."""
+    return np.array([[[a, 0.0], [0.0, b]], [[b, 0.0], [0.0, -a]], [[0.0, c], [d, 0.0]], [[0.0, d], [-c, 0.0]]])
 
 
 # The four Bell states are the family at a = b = c = d = 1/sqrt(2).

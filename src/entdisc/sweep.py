@@ -2,10 +2,10 @@
 
 Grid points are independent; the scans below evaluate them a block at a time,
 whenever results are read or written, through the kernels the per-point calls
-of :mod:`entdisc.discrimination` run: the family's closed-form lambda_1, the
-batched top pointer-state eigenvalue of a three-member subset and the
-preserving cap. Rows come in deterministic row-major order (outer loop a^2,
-inner loop c^2), so repeated runs produce byte-identical output.
+of :mod:`entdisc.discrimination` run: the family's closed-form lambda_1, in
+the subset's member order for feasible3, and the preserving cap. Rows come in
+deterministic row-major order (outer loop a^2, inner loop c^2), so repeated
+runs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import alpha2_max_from_lambda, family_lambda_max, pointer_feasible, pointer_lambda_max, preserve_cap
+from .discrimination import alpha2_max_from_lambda, family_lambda_max, pointer_feasible, preserve_cap
 from .errors import ValidationError
 from .spectra import _is_index, binary_entropy, entropy_terms
-from .states import BellFamily, check_family_priors, check_which, family_matrices
+from .states import BellFamily, check_family_priors, check_which
 
 __all__ = [
     "CSV_HEADER",
@@ -138,12 +138,12 @@ def run_sweep(
         raise ValidationError(f"grid_n must be between 2 and {MAX_GRID_N}, got {grid_n!r}")
     probs = check_family_priors(probs, 3 if mode == "feasible3" else 4)
     which = check_which(which)
-    indices = which if mode == "feasible3" else range(4)
+    order = which if mode == "feasible3" else (0, 1, 2, 3)
     axis = np.linspace(0.5, 1.0, grid_n)
-    return SweepTable((mode, axis, probs, indices, np.array([*map(format_value, axis.tolist())], object)), range(grid_n**2))
+    return SweepTable((mode, axis, probs, order, np.array([*map(format_value, axis.tolist())], object)), range(grid_n**2))
 
 
-def _scan_columns(mode: str, axis: np.ndarray, probs: list[float], indices, axis_text, points: range, text: bool) -> dict:
+def _scan_columns(mode: str, axis: np.ndarray, probs: list[float], order, axis_text, points: range, text: bool) -> dict:
     """One mode's columns at the flat lattice points ``points``: point k is (axis[k // n], axis[k % n]).
 
     Axis entropies are gathered and the rest is elementwise (``assist`` takes the closed-form lambda_1 at the
@@ -153,7 +153,7 @@ def _scan_columns(mode: str, axis: np.ndarray, probs: list[float], indices, axis
     a2, c2 = axis[rows], axis[cols]
     h = _binary_entropy_rows(axis)
     columns = {"a2": axis_text[rows] if text else a2, "c2": axis_text[cols] if text else c2}
-    columns["avg_ent_ebits"] = _mean_entropy(h[rows], h[cols], probs, indices)
+    columns["avg_ent_ebits"] = _mean_entropy(h[rows], h[cols], probs, order)
     if mode == "preserve":
         # Each pair's sorted self-tensored spectrum (x^2, xy, xy, y^2), y = 1 - x, gathered; xy's entropy counts twice.
         e = [entropy_terms(preserve_cap(t[rows], t[cols], probs)) for t in (axis**2, axis * (1.0 - axis), (1.0 - axis) ** 2)]
@@ -162,11 +162,9 @@ def _scan_columns(mode: str, axis: np.ndarray, probs: list[float], indices, axis
         return columns
 
     amplitudes = np.sqrt(a2), np.sqrt(1.0 - a2), np.sqrt(c2), np.sqrt(1.0 - c2)
+    columns["feasible_unassisted"] = pointer_feasible(family_lambda_max(*amplitudes, probs, order))
     if mode == "feasible3":
-        members = family_matrices(*amplitudes)
-        columns["feasible_unassisted"] = pointer_feasible(pointer_lambda_max([members[i] for i in indices], probs))
         return columns
-    columns["feasible_unassisted"] = pointer_feasible(family_lambda_max(*amplitudes, probs))
     columns["alpha2_max"] = alpha2 = alpha2_max_from_lambda(family_lambda_max(*amplitudes, [0.25] * 4))
     columns["assist_cost_ebits"] = _binary_entropy_rows(alpha2)
     return columns

@@ -88,19 +88,24 @@ def family_member_matrices(a2: float, c2: float) -> list:
     return [[[a, 0.0], [0.0, b]], [[b, 0.0], [0.0, -a]], [[0.0, c], [d, 0.0]], [[0.0, d], [-c, 0.0]]]
 
 
-def loop_lambda_max(members, probs) -> float:
-    """Top pointer-state eigenvalue by an index-loop build and a dense eigensolve.
+def loop_pointer_spectrum(members, probs) -> np.ndarray:
+    """Pointer-state spectrum, ascending, by an index-loop build and a dense eigensolve.
 
     Member k (a 2x2 coefficient matrix, real or complex) is weighted by
     sqrt(probs[k]) and paired with the k-th Bell state; the AC:BD composite is
-    filled entry by entry and lambda_1 is the top eigenvalue of M M^dagger.
+    filled entry by entry and the spectrum is that of M M^dagger.
     """
     bell = family_member_matrices(0.5, 0.5)
     m = np.zeros((4, 4), dtype=complex)
     for k, (psi, p) in enumerate(zip(members, probs)):
         for i, j, x, y in itertools.product(range(2), repeat=4):
             m[2 * i + x, 2 * j + y] += math.sqrt(p) * psi[i][j] * bell[k][x][y]
-    return float(np.linalg.eigvalsh(m @ m.conj().T)[-1])
+    return np.linalg.eigvalsh(m @ m.conj().T)
+
+
+def loop_lambda_max(members, probs) -> float:
+    """Top eigenvalue lambda_1 of ``loop_pointer_spectrum``."""
+    return float(loop_pointer_spectrum(members, probs)[-1])
 
 
 class RecordingWriter:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import subprocess
 import sys
 import warnings
 
@@ -330,6 +331,18 @@ class TestSweepCommand:
         assert os.listdir(tmp_path) == (["out.csv"] if existing else [])
         if existing:
             assert target.read_bytes() == b"old bytes\n"
+
+    def test_reader_closing_the_pipe_exits_141_quietly(self):
+        # `entdisc sweep ... | head -1` used to exit 2 with "cannot write CSV: [Errno 32] Broken pipe", though an
+        # early reader gives no bad input. The grid-301 CSV is far larger than a pipe's buffer.
+        src = os.path.dirname(entdisc.__path__[0])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "entdisc.cli", "sweep", "--mode", "assist", "--grid-n", "301"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+            assert child.stdout.readline().startswith(b"a2,c2,")
+            child.stdout.close()
+            assert child.wait(timeout=60) == 141
+            assert child.stderr.read() == b""
 
 
 class TestUsage:

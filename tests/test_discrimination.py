@@ -1,4 +1,6 @@
 import itertools
+import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -32,12 +34,14 @@ from entdisc import (
     tensor,
     three_state_feasible,
 )
-from entdisc.discrimination import pointer_lambda_max, preserve_cap
+from entdisc.cli import load_ensemble_file
+from entdisc.discrimination import family_lambda_max, pointer_lambda_max, preserve_cap
 from helpers import (
     alpha2_max_scan,
     entropy_direct,
     family_member_matrices,
     loop_lambda_max,
+    loop_pointer_spectrum,
     random_pure_state,
     random_unitary,
     rdm_spectrum,
@@ -291,6 +295,85 @@ class TestPointerLambdaMax:
                     assert verdict == (lam <= 0.5 + DEFAULT_TOL), (a2, c2, which, probs)
                     seen[verdict] += 1
         assert min(seen.values()) > 1000
+
+
+ORDERS = list(itertools.permutations(range(4)))
+
+
+def order_lambda_max(a2, c2, probs, order) -> float:
+    """``family_lambda_max`` for one point, with ``order[j]`` the member on Bell pointer j."""
+    amplitudes = math.sqrt(a2), math.sqrt(1.0 - a2), math.sqrt(c2), math.sqrt(1.0 - c2)
+    return float(family_lambda_max(*amplitudes, list(probs), order))
+
+
+class TestEveryMemberOrder:
+    def test_against_loop_eigensolve(self):
+        # all 24 orders of the four members; a zero prior on the last pointer gives the 24 ordered three-member
+        # choices, and one elsewhere drops a member from the middle
+        rng = np.random.default_rng(21)
+        for order in ORDERS:
+            for k in range(60):
+                a2, c2 = rng.uniform(0.0 if k % 2 else 0.5, 1.0, 2)
+                probs = rng.dirichlet(np.ones(4))
+                if k % 3 == 0:
+                    probs[3 if k % 6 == 0 else rng.integers(3)] = 0.0
+                    probs /= probs.sum()
+                members = family_member_matrices(a2, c2)
+                lam = loop_lambda_max([members[m] for m in order], probs)
+                assert order_lambda_max(a2, c2, probs, order) == pytest.approx(lam, rel=0.0, abs=1e-13), (order, k)
+                if probs[3] == 0.0:  # a three-member order is padded with the missing member
+                    assert order_lambda_max(a2, c2, probs[:3], order[:3]) == pytest.approx(lam, rel=0.0, abs=1e-13)
+
+    def test_w_class_spectrum_is_doubled(self):
+        # with members 0 and 1 on pointers {0, 3} or {1, 2}, the oracle's eigenvalues come in equal pairs, so the
+        # unit trace caps lambda_1 at 1/2 whatever the amplitudes and priors
+        rng = np.random.default_rng(22)
+        orders = [order for order in ORDERS if {order.index(0), order.index(1)} in ({0, 3}, {1, 2})]
+        assert len(orders) == 8
+        for order in orders:
+            for k in range(40):
+                a2, c2 = rng.uniform(0.5, 1.0, 2)
+                probs = rng.dirichlet(np.ones(4))
+                if k % 3 == 0:
+                    probs[3] = 0.0
+                    probs /= probs.sum()
+                members = family_member_matrices(a2, c2)
+                spectrum = loop_pointer_spectrum([members[m] for m in order], probs)
+                assert spectrum[1] - spectrum[0] <= 1e-12 and spectrum[3] - spectrum[2] <= 1e-12, (order, spectrum)
+                assert spectrum[3] <= 0.5 + 1e-12
+                assert order_lambda_max(a2, c2, probs, order) == pytest.approx(spectrum[3], rel=0.0, abs=1e-13)
+
+    def test_natural_order_keeps_its_bits(self):
+        # the assist CSV bytes were pinned with these two formulas for the natural order: (a + b + c + d)^2 / 8 at
+        # equal priors and the "X" matrix's {0, 3} block otherwise
+        axis = np.linspace(0.5, 1.0, 101)
+        a2, c2 = np.meshgrid(axis, axis, indexing="ij")
+        a, b, c, d = np.sqrt(a2), np.sqrt(1.0 - a2), np.sqrt(c2), np.sqrt(1.0 - c2)
+        assert np.array_equal(family_lambda_max(a, b, c, d, [0.25] * 4), np.minimum((a + b + c + d) ** 2 / 8.0, 1.0))
+        s0, s1, s2, s3 = np.sqrt([0.4, 0.3, 0.2, 0.1])
+        q = np.hypot((s0 + s1) * (a + b), (s2 - s3) * (c - d))
+        expected = np.minimum((q + np.hypot((s0 - s1) * (a - b), (s2 + s3) * (c + d))) ** 2 / 8.0, 1.0)
+        assert np.array_equal(family_lambda_max(a, b, c, d, [0.4, 0.3, 0.2, 0.1]), expected)
+
+    def test_general_kernel_agrees_on_states_files(self, tmp_path):
+        # each order written as a states file, loaded and decided by the general eigvalsh kernel
+        # (ensemble_discrimination_feasible), against the closed form for that order
+        rng = np.random.default_rng(23)
+        path = tmp_path / "states.json"
+        seen = {True: 0, False: 0}
+        for order in ORDERS:
+            for a2, c2 in itertools.product(np.linspace(0.5, 1.0, 5), repeat=2):
+                members = family_member_matrices(a2, c2)
+                states = [{"dim_a": 2, "dim_b": 2, "amplitudes": np.ravel(members[m]).tolist()} for m in order]
+                for probs in ([0.25] * 4, rng.dirichlet(np.ones(4)).tolist(), [0.5, 0.3, 0.2, 0.0]):
+                    lam = order_lambda_max(a2, c2, probs, order)
+                    if abs(lam - 0.5 - DEFAULT_TOL) <= 1e-12:
+                        continue
+                    path.write_text(json.dumps({"states": states, "probs": probs}))
+                    verdict = ensemble_discrimination_feasible(load_ensemble_file(str(path)))
+                    assert verdict == (lam <= 0.5 + DEFAULT_TOL), (order, a2, c2, probs)
+                    seen[verdict] += 1
+        assert min(seen.values()) > 100
 
 
 class TestThreeState:

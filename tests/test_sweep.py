@@ -566,8 +566,8 @@ class TestStreaming:
         # points, five full blocks and a partial one), so both reach the
         # one-block peak. With whole-lattice columns and a whole CSV text,
         # assist and preserve peaked 4 times higher at grid 301 than at grid 151.
-        # Each mode's lambda_1 kernel returns one value per point of its batch.
-        kernel = "pointer_lambda_max" if mode == "feasible3" else "family_lambda_max"
+        # The lambda_1 kernel returns one value per point of its batch.
+        kernel = "family_lambda_max"
         batches = []
 
         def spy(*args, _original=getattr(entdisc.sweep, kernel)):
