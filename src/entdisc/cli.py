@@ -35,8 +35,10 @@ from .sweep import DEFAULT_GRID_N, MAX_GRID_N, SWEEP_MODES, format_value, run_sw
 FILE_NORM_TOL = 1e-6
 
 
-def _parse_list(text: str, flag: str, kind=float) -> list:
-    """Comma-separated values: an empty text is the empty list, and an empty entry in any other exits 2."""
+def _parse_list(text: str | None, flag: str, kind=float) -> list | None:
+    """Comma-separated values: an absent flag (None) is None, an empty text the empty list; an empty entry exits 2."""
+    if text is None:
+        return None
     parts = text.split(",") if text.strip() else []
     if not all(part.strip() for part in parts):
         raise ValidationError(f"{flag} has an empty entry in {text!r}")
@@ -106,7 +108,10 @@ def load_ensemble_file(path: str) -> Ensemble:
     for idx, entry in enumerate(raw_states):
         try:
             dims = entry["dim_a"], entry["dim_b"]
-            parts = [pair if isinstance(pair, list) else [pair] for pair in entry["amplitudes"]]
+            parts = [pair if isinstance(pair, list) else [pair, 0] for pair in entry["amplitudes"]]
+            k = next((k for k, part in enumerate(parts) if len(part) != 2), None)
+            if k is not None:
+                raise ValidationError(f"state {idx} amplitude {k} is not a number or an [re, im] pair")
             amps = np.array([complex(*_json_floats(part, f"state {idx} amplitudes")) for part in parts])
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"state {idx} is malformed: {exc}")
@@ -158,11 +163,10 @@ def _family_ensemble(family: BellFamily, probs) -> Ensemble:
 
 
 def _family_flags(args) -> tuple[BellFamily, list[float] | None, dict]:
-    """--a2/--c2[/--probs] as the family, its priors (None: the command's default) and the keys to echo."""
+    """--a2, --c2 and --probs as the family, its priors (None: the command's default) and the keys to echo."""
     if args.a2 is None or args.c2 is None:
         raise ValidationError("both --a2 and --c2 are required")
-    probs = _parse_list(args.probs, "--probs") if getattr(args, "probs", None) is not None else None
-    return BellFamily.from_squared(args.a2, args.c2), probs, {"a2": args.a2, "c2": args.c2}
+    return BellFamily.from_squared(args.a2, args.c2), _parse_list(args.probs, "--probs"), {"a2": args.a2, "c2": args.c2}
 
 
 def _resolve_ensemble(args) -> tuple[Ensemble, dict]:
@@ -200,8 +204,7 @@ def _cmd_preserve_cost(args) -> dict:
 
 
 def _cmd_bounds(args) -> dict:
-    ensemble, _ = _resolve_ensemble(args)
-    return asdict(distinguishability_bound(ensemble))
+    return asdict(distinguishability_bound(_resolve_ensemble(args)[0]))
 
 
 def _cmd_convert(args) -> dict:
@@ -211,11 +214,10 @@ def _cmd_convert(args) -> dict:
 
 
 def _cmd_sweep(args) -> None:
-    probs = _parse_list(args.probs, "--probs") if args.probs is not None else None
-    which = _parse_list(args.which, "--which", int)
+    probs, which = _parse_list(args.probs, "--probs"), _parse_list(args.which, "--which", int)
     records = run_sweep(args.mode, grid_n=args.grid_n, probs=probs, which=which)
     try:
-        write_csv(records, args.out or sys.stdout)
+        write_csv(records, sys.stdout if args.out is None else args.out)
     except BrokenPipeError:
         raise
     except OSError as exc:
@@ -239,89 +241,50 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, _error_line(message))
 
 
+# Each flag's argparse settings, declared once: its help must hold for every command that takes it.
+_FLAGS = {
+    "--json": dict(action="store_true", help="emit one JSON object instead of text"),
+    "--tol": dict(type=_tolerance, default=DEFAULT_TOL, help="partial-sum comparison tolerance"),
+    "--a2": dict(type=float, help="squared Schmidt parameter of the first pair, in [0.5, 1]"),
+    "--c2": dict(type=float, help="squared Schmidt parameter of the second pair, in [0.5, 1]"),
+    "--probs": dict(help="comma-separated priors (default: equal)"),
+    "--ensemble": dict(metavar="FILE", help="JSON ensemble file instead of --a2, --c2 and --probs"),
+    "--which": dict(default="0,1,2", help="three member indices, zero-based (default 0,1,2)"),
+    "--source": dict(required=True, help="source spectrum, e.g. 0.5,0.5"),
+    "--target": dict(action="append", required=True,
+                     help="target spectrum 'v1,v2,...' or weighted 'p:v1,v2,...'; repeatable"),
+    "--mode": dict(required=True, choices=SWEEP_MODES),
+    "--grid-n": dict(type=int, default=DEFAULT_GRID_N,
+                     help=f"lattice points per axis (default {DEFAULT_GRID_N}, at most {MAX_GRID_N})"),
+    "--out": dict(metavar="FILE", help="write CSV here instead of standard output"),
+}
+
+# Per subcommand, in --help order: its handler, its flags (--tol only where a verdict is made) and its help line.
+_COMMANDS = {
+    "discriminate": (_cmd_discriminate, "--json --tol --a2 --c2 --probs --ensemble",
+                     "perfect LOCC distinguishability of the four-state family or a JSON ensemble"),
+    "three-state": (_cmd_three_state, "--json --tol --a2 --c2 --which --probs",
+                    "distinguishability of a three-member subset"),
+    "assist-cost": (_cmd_assist_cost, "--json --a2 --c2", "minimal pre-shared entanglement for perfect discrimination"),
+    "preserve-cost": (_cmd_preserve_cost, "--json --a2 --c2 --probs",
+                      "minimal entanglement for discrimination that preserves the states"),
+    "bounds": (_cmd_bounds, "--json --a2 --c2 --probs --ensemble",
+               "distinguishable-count bounds from three entanglement measures"),
+    "convert": (_cmd_convert, "--json --tol --source --target",
+                "LOCC convertibility between Schmidt spectra (deterministic or probabilistic)"),
+    "sweep": (_cmd_sweep, "--mode --grid-n --probs --which --out", "grid scan over (a2, c2), emitted as CSV"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="entdisc",
-        description="Majorization-based feasibility and entanglement costs of local state discrimination.",
-    )
+    description = "Majorization-based feasibility and entanglement costs of local state discrimination."
+    parser = _Parser(prog="entdisc", description=description)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit one JSON object instead of text")
-
-    # Only the commands that make a majorization verdict take --tol.
-    tol_flag = argparse.ArgumentParser(add_help=False)
-    tol_flag.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="partial-sum comparison tolerance")
-
-    family_flags = argparse.ArgumentParser(add_help=False)
-    family_flags.add_argument("--a2", type=float, help="squared Schmidt parameter of the first pair, in [0.5, 1]")
-    family_flags.add_argument("--c2", type=float, help="squared Schmidt parameter of the second pair, in [0.5, 1]")
-
-    p = sub.add_parser(
-        "discriminate",
-        parents=[common, tol_flag, family_flags],
-        help="perfect LOCC distinguishability of the four-state family or a JSON ensemble",
-    )
-    p.add_argument("--probs", help="comma-separated priors (default: uniform)")
-    p.add_argument("--ensemble", metavar="FILE", help="JSON ensemble file instead of --a2, --c2 and --probs")
-    p.set_defaults(handler=_cmd_discriminate)
-
-    p = sub.add_parser(
-        "three-state",
-        parents=[common, tol_flag, family_flags],
-        help="distinguishability of a three-member subset",
-    )
-    p.add_argument("--which", default="0,1,2", help="three member indices, zero-based (default 0,1,2)")
-    p.add_argument("--probs", help="comma-separated priors (default: 1/3 each)")
-    p.set_defaults(handler=_cmd_three_state)
-
-    p = sub.add_parser(
-        "assist-cost",
-        parents=[common, family_flags],
-        help="minimal pre-shared entanglement for perfect discrimination",
-    )
-    p.set_defaults(handler=_cmd_assist_cost)
-
-    p = sub.add_parser(
-        "preserve-cost",
-        parents=[common, family_flags],
-        help="minimal entanglement for discrimination that preserves the states",
-    )
-    p.add_argument("--probs", help="comma-separated priors (default: uniform)")
-    p.set_defaults(handler=_cmd_preserve_cost)
-
-    p = sub.add_parser(
-        "bounds",
-        parents=[common, family_flags],
-        help="distinguishable-count bounds from three entanglement measures",
-    )
-    p.add_argument("--probs", help="comma-separated priors (family form only)")
-    p.add_argument("--ensemble", metavar="FILE", help="JSON ensemble file instead of --a2, --c2 and --probs")
-    p.set_defaults(handler=_cmd_bounds)
-
-    p = sub.add_parser(
-        "convert",
-        parents=[common, tol_flag],
-        help="LOCC convertibility between Schmidt spectra (deterministic or probabilistic)",
-    )
-    p.add_argument("--source", required=True, help="source spectrum, e.g. 0.5,0.5")
-    p.add_argument(
-        "--target",
-        action="append",
-        required=True,
-        help="target spectrum 'v1,v2,...' or weighted 'p:v1,v2,...'; repeatable",
-    )
-    p.set_defaults(handler=_cmd_convert)
-
-    p = sub.add_parser("sweep", help="grid scan over (a2, c2), emitted as CSV")
-    p.add_argument("--mode", required=True, choices=SWEEP_MODES)
-    grid_help = f"lattice points per axis (default {DEFAULT_GRID_N}, at most {MAX_GRID_N})"
-    p.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N, help=grid_help)
-    p.add_argument("--probs", help="comma-separated priors")
-    p.add_argument("--which", default="0,1,2", help="subset for feasible3 mode")
-    p.add_argument("--out", metavar="FILE", help="write CSV here instead of standard output")
-    p.set_defaults(handler=_cmd_sweep)
-
+    for name, (handler, flags, help_line) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(handler=handler, probs=None)  # commands without --probs read it as absent
     return parser
 
 

@@ -166,6 +166,11 @@ def entropy_terms(values):
     return 0.0 - values * np.log2(values + (values == 0.0))
 
 
+def _binary_entropy_terms(p):
+    """Elementwise entropy in bits of (p, 1 - p) for p in [0, 1], unchecked: the one binary-entropy formula."""
+    return entropy_terms(p) + entropy_terms(1.0 - p)
+
+
 def entropy_bits(x: ProbVector) -> float:
     """Shannon entropy of the vector in bits, with 0*log(0) = 0.
 
@@ -181,5 +186,4 @@ def binary_entropy(p: float) -> float:
     """Entropy in bits of the two-outcome distribution (p, 1-p)."""
     if not -DEFAULT_TOL <= p <= 1.0 + DEFAULT_TOL:
         raise ValidationError(f"binary entropy argument {p!r} outside [0, 1]")
-    p = min(max(p, 0.0), 1.0)
-    return float(entropy_terms(p) + entropy_terms(1.0 - p))
+    return float(_binary_entropy_terms(min(max(p, 0.0), 1.0)))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .discrimination import alpha2_max_from_lambda, family_lambda_max, pointer_feasible, preserve_cap
 from .errors import ValidationError
-from .spectra import _is_index, binary_entropy, entropy_terms
+from .spectra import _binary_entropy_terms, _is_index, binary_entropy, entropy_terms
 from .states import BellFamily, check_family_priors, check_which
 
 __all__ = [
@@ -110,10 +110,6 @@ def avg_entanglement(family: BellFamily, probs: Sequence[float] | None = None) -
     return float(_mean_entropy(binary_entropy(family.a**2), binary_entropy(family.c**2), check_family_priors(probs, 4)))
 
 
-def _binary_entropy_rows(p: np.ndarray) -> np.ndarray:
-    return entropy_terms(p) + entropy_terms(1.0 - p)
-
-
 def run_sweep(
     mode: str,
     grid_n: int = DEFAULT_GRID_N,
@@ -151,7 +147,7 @@ def _scan_columns(mode: str, axis: np.ndarray, probs: list[float], order, axis_t
     """
     rows, cols = np.divmod(np.arange(points.start, points.stop, points.step), axis.size)
     a2, c2 = axis[rows], axis[cols]
-    h = _binary_entropy_rows(axis)
+    h = _binary_entropy_terms(axis)
     columns = {"a2": axis_text[rows] if text else a2, "c2": axis_text[cols] if text else c2}
     columns["avg_ent_ebits"] = _mean_entropy(h[rows], h[cols], probs, order)
     if mode == "preserve":
@@ -166,7 +162,7 @@ def _scan_columns(mode: str, axis: np.ndarray, probs: list[float], order, axis_t
     if mode == "feasible3":
         return columns
     columns["alpha2_max"] = alpha2 = alpha2_max_from_lambda(family_lambda_max(*amplitudes, [0.25] * 4))
-    columns["assist_cost_ebits"] = _binary_entropy_rows(alpha2)
+    columns["assist_cost_ebits"] = _binary_entropy_terms(alpha2)
     return columns
 
 
@@ -214,6 +210,8 @@ def write_csv(records: Sequence[SweepRecord], destination) -> None:
     if not (isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__")):
         return _write_blocks(records, destination)
     name = os.fsdecode(destination)
+    if not name:  # as open("") does: realpath("") would put the temporary file beside the working directory
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), name)
     try:
         mode = os.stat(name).st_mode
     except FileNotFoundError:

@@ -10,7 +10,7 @@ import pytest
 
 import entdisc
 from entdisc import BellFamily, perfect_discrimination_feasible, records_to_csv, run_sweep
-from entdisc.cli import load_ensemble_file, main
+from entdisc.cli import build_parser, load_ensemble_file, main
 from helpers import RecordingWriter, assert_block_writes, fail_on_second_block
 
 
@@ -400,10 +400,16 @@ SHORT_SECOND_STATE = '{"states": [%s, %s], "probs": [0.5, 0.5]}' % (
     ONE_STATE, '{"amplitudes": [[0, 0], [1, 0], [0, 0]], "dim_a": 2, "dim_b": 2}'
 )
 AMPLITUDES_STATE = '{"states": [{"amplitudes": %s, "dim_a": 2, "dim_b": 2}], "probs": [1.0]}'
+EMPTY_AMPLITUDE = AMPLITUDES_STATE % "[[1, 0], [], [0, 0], [0, 0]]"
+TRIPLE_AMPLITUDE = AMPLITUDES_STATE % "[[1, 0, 0], [0, 0], [0, 0], [0, 0]]"
+SINGLE_AMPLITUDE = AMPLITUDES_STATE % "[[0, 0], [0, 0], [1], [0, 0]]"
 # What a states file's error line starts with when PureState rejects one of its states.
 STATE_ERRORS = {
     FLOAT_DIM_STATE: "error: state 0: local dimensions must be positive integers, got 2.9 and 2",
     SHORT_SECOND_STATE: "error: state 1: got 3 amplitudes for dimensions 2x2",
+    EMPTY_AMPLITUDE: "error: state 0 amplitude 1 is not a number or an [re, im] pair",
+    TRIPLE_AMPLITUDE: "error: state 0 amplitude 0 is not a number or an [re, im] pair",
+    SINGLE_AMPLITUDE: "error: state 0 amplitude 2 is not a number or an [re, im] pair",
 }
 
 
@@ -552,6 +558,11 @@ class TestInputContract:
             (["discriminate"], '{"family": {"a2": 1%s, "c2": 0.9}}' % ("0" * 400)),
             (["discriminate"], '{"family": {"a2": 0.9, "c2": 0.9}, "probs": [1%s, 0, 0, 0]}' % ("0" * 400)),
             (["discriminate"], AMPLITUDES_STATE % "[[1%s, 0], [0, 0], [0, 0], [0, 0]]" % ("0" * 400)),
+            # an empty amplitude list loaded as 0 and a one-element one as its
+            # value; three elements exited 2 through complex()'s TypeError
+            (["discriminate"], EMPTY_AMPLITUDE),
+            (["discriminate"], TRIPLE_AMPLITUDE),
+            (["discriminate"], SINGLE_AMPLITUDE),
         ],
     )
     def test_malformed_values_exit_2(self, capsys, tmp_path, argv, file_text):
@@ -579,6 +590,13 @@ class TestInputContract:
         self.assert_rejected(capsys, "sweep", "--mode", "preserve", "--grid-n", "3", "--out", str(tmp_path))
         missing = str(tmp_path / "no" / "x.csv")
         assert repr(missing) in self.assert_rejected(capsys, "sweep", "--mode", "preserve", "--grid-n", "3", "--out", missing)
+
+    def test_empty_out_exits_2(self, capsys, tmp_path, monkeypatch):
+        # an empty --out used to be read as no --out: the CSV went to stdout
+        monkeypatch.chdir(tmp_path)
+        line = self.assert_rejected(capsys, "sweep", "--mode", "preserve", "--grid-n", "2", "--out", "")
+        assert line == "error: cannot write CSV: [Errno 2] No such file or directory: ''"
+        assert os.listdir(tmp_path) == []
 
     def test_tol_zero_accepted(self, capsys):
         result = get_json(capsys, "discriminate", "--a2", "1", "--c2", "1", "--tol", "0", "--json")
@@ -622,6 +640,72 @@ class TestInputContract:
         assert perfect_discrimination_feasible(family, probs, tol=0.0) is True
         argv = ["--a2", "0.5", "--c2", "0.6425000000000001", "--probs", "0.97,0.01,0.01,0.01", "--tol", "0", "--json"]
         assert get_json(capsys, "discriminate", *argv)["feasible_unassisted"] is True
+
+
+# The flags each subcommand takes, written out here rather than read from the
+# parser, so a change to the parser's flag table shows as a failure.
+FLAG_MATRIX = {
+    "discriminate": ["--json", "--tol", "--a2", "--c2", "--probs", "--ensemble"],
+    "three-state": ["--json", "--tol", "--a2", "--c2", "--which", "--probs"],
+    "assist-cost": ["--json", "--a2", "--c2"],
+    "preserve-cost": ["--json", "--a2", "--c2", "--probs"],
+    "bounds": ["--json", "--a2", "--c2", "--probs", "--ensemble"],
+    "convert": ["--json", "--tol", "--source", "--target"],
+    "sweep": ["--mode", "--grid-n", "--probs", "--which", "--out"],
+}
+# A value each flag parses, and what the parsed namespace then holds (None: a switch).
+FLAG_VALUES = {
+    "--json": (None, True),
+    "--tol": ("0.5", 0.5),
+    "--a2": ("0.9", 0.9),
+    "--c2": ("0.8", 0.8),
+    "--probs": ("0.4,0.3,0.2,0.1", "0.4,0.3,0.2,0.1"),
+    "--ensemble": ("ens.json", "ens.json"),
+    "--which": ("3,0,2", "3,0,2"),
+    "--source": ("0.5,0.5", "0.5,0.5"),
+    "--target": ("0.6,0.4", ["0.6,0.4"]),
+    "--mode": ("feasible3", "feasible3"),
+    "--grid-n": ("3", 3),
+    "--out": ("out.csv", "out.csv"),
+}
+REQUIRED_FLAGS = {"convert": ["--source", "--target"], "sweep": ["--mode"]}
+
+
+def flag_argv(*flags):
+    """Each flag followed by its value from FLAG_VALUES; a switch stands alone."""
+    argv = []
+    for flag in flags:
+        value = FLAG_VALUES[flag][0]
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+class TestFlagMatrix:
+    @pytest.mark.parametrize("command", sorted(FLAG_MATRIX))
+    def test_each_flag_parses(self, command):
+        args = build_parser().parse_args([command, *flag_argv(*FLAG_MATRIX[command])])
+        for flag in FLAG_MATRIX[command]:
+            assert getattr(args, flag[2:].replace("-", "_")) == FLAG_VALUES[flag][1], flag
+
+    @pytest.mark.parametrize(
+        "command, flag", [(c, f) for c in sorted(FLAG_MATRIX) for f in sorted(FLAG_VALUES) if f not in FLAG_MATRIX[c]]
+    )
+    def test_other_flags_are_unrecognized(self, capsys, command, flag):
+        extra = flag_argv(flag)
+        with pytest.raises(SystemExit) as info:
+            main([command, *flag_argv(*REQUIRED_FLAGS.get(command, [])), *extra])
+        assert info.value.code == 2
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {' '.join(extra)}\n"
+
+    @pytest.mark.parametrize("command", [None, *sorted(FLAG_MATRIX)])
+    def test_help_prints_every_flag(self, capsys, command):
+        # argparse formats help strings only here, so a bad one fails nowhere else
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"] if command else ["--help"])
+        captured = capsys.readouterr()
+        assert info.value.code == 0 and captured.err == ""
+        for flag in FLAG_MATRIX.get(command, sorted(FLAG_MATRIX)):
+            assert flag in captured.out
 
 
 class TestSweepCallChain:

@@ -518,6 +518,18 @@ class TestWriteCsvPath:
         assert sorted(os.listdir(tmp_path)) == ["data", "link.csv"]
         assert os.listdir(target.parent) == ["out.csv"]
 
+    @pytest.mark.parametrize("kind", [str, os.fsencode])
+    def test_empty_path_is_refused_before_writing(self, tmp_path, monkeypatch, kind):
+        # realpath("") is the working directory, so the temporary file used to
+        # be written beside it, in its parent, before the rename failed
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        with pytest.raises(FileNotFoundError) as info:
+            write_csv(run_sweep("preserve", 3), kind(""))
+        assert (info.value.errno, info.value.filename) == (2, "")
+        assert os.listdir(workdir) == [] and os.listdir(tmp_path) == ["work"]
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
     def test_fifo_is_written_in_place(self, tmp_path):
         fifo = tmp_path / "pipe"
