@@ -26,7 +26,7 @@ from .discrimination import (
     three_state_feasible,
 )
 from .errors import ValidationError
-from .spectra import DEFAULT_TOL, ProbVector, entropy_bits
+from .spectra import DEFAULT_TOL, ProbVector, check_tol, entropy_bits
 from .states import BellFamily, Ensemble, PureState, check_family_priors, distinguishability_bound
 from .sweep import DEFAULT_GRID_N, MAX_GRID_N, SWEEP_MODES, format_value, run_sweep, write_csv
 
@@ -50,11 +50,11 @@ def _parse_list(text: str | None, flag: str, kind=float) -> list | None:
 
 
 def _tolerance(text: str) -> float:
-    """argparse type for --tol: a finite, nonnegative number."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
+    """argparse type for --tol: a number that passes ``check_tol``."""
+    try:
+        return check_tol(float(text))
+    except ValidationError:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}") from None
 
 
 def _parse_target(text: str) -> tuple[float, ProbVector]:

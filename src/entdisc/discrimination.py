@@ -5,10 +5,10 @@ an ensemble {p_i, psi_i} on the A:B cut is encoded as the composite state
 sum_i sqrt(p_i) |psi_i>_AB |phi_i>_CD with mutually orthogonal pointers
 phi_i, read as a bipartite state on the AC:BD cut. Distinguishing the
 ensemble then implies an ensemble transformation of the composite into the
-pointers, which majorization decides. ``_composite`` builds that state for
-``pointer_state`` and, batched with Bell pointers, for ``pointer_lambda_max``,
-which decides general ensembles. The family's top eigenvalue has a closed form
-for every member order and subset (``family_lambda_max``).
+pointers, which majorization decides. ``pointer_state`` is the one code that
+builds the composite; general ensembles are decided from its top eigenvalue
+with Bell pointers. The family's top eigenvalue has a closed form for every
+member order and subset (``family_lambda_max``).
 """
 
 from __future__ import annotations
@@ -23,16 +23,17 @@ from .spectra import (
     DEFAULT_TOL,
     ProbVector,
     binary_entropy,
+    check_tol,
     entropy_bits,
     majorizes,
     mix,
     tensor,
 )
 from .states import (
-    BELL_MATRICES,
     BellFamily,
     Ensemble,
     PureState,
+    bell_states,
     check_family_priors,
     check_which,
 )
@@ -77,9 +78,13 @@ def pointer_state(ensemble: Ensemble, pointers: Sequence[PureState]) -> PureStat
         for j in range(i + 1, len(pointers)):
             if abs(pointers[i].overlap(pointers[j])) > DEFAULT_TOL:
                 raise ValidationError(f"pointers {i} and {j} are not orthogonal")
-    members = [psi.coefficient_matrix()[None] for psi in ensemble.states]
-    pointer_mats = [phi.coefficient_matrix() for phi in pointers]
-    return PureState.from_matrix(_composite(members, ensemble.probs, pointer_mats)[0])
+    # Axes (a, c, b, d): the AC and BD index pairs are adjacent, so the reshape is a view.
+    composite = sum(
+        psi.coefficient_matrix()[:, None, :, None] * phi.coefficient_matrix()[None, :, None, :] * np.sqrt(prob)
+        for (prob, psi), phi in zip(ensemble.members, pointers)
+    )
+    dim_a, dim_c, dim_b, dim_d = composite.shape
+    return PureState.from_matrix(composite.reshape(dim_a * dim_c, dim_b * dim_d))
 
 
 def locc_deterministic_feasible(
@@ -102,30 +107,6 @@ def locc_ensemble_feasible(
     return majorizes(source, mix(targets), tol)
 
 
-def _composite(member_mats, probs: Sequence[float], pointer_mats) -> np.ndarray:
-    """Pointer states of n problems on the AC:BD cut, shape (n, dim_a * dim_c, dim_b * dim_d).
-
-    ``member_mats[i]``, shape (n, dim_a, dim_b), holds member i of each problem; it is weighted by
-    sqrt(probs[i]) and paired with ``pointer_mats[i]``, shape (dim_c, dim_d).
-    """
-    # Axes (n, a, c, b, d): the AC and BD index pairs are adjacent, so the reshape is a view.
-    composite = sum(
-        psi[:, :, None, :, None] * phi[None, None, :, None, :] * np.sqrt(prob)
-        for psi, prob, phi in zip(member_mats, probs, pointer_mats)
-    )
-    n, dim_a, dim_c, dim_b, dim_d = composite.shape
-    return composite.reshape(n, dim_a * dim_c, dim_b * dim_d)
-
-
-def pointer_lambda_max(member_mats, probs: Sequence[float]) -> np.ndarray:
-    """Top eigenvalue lambda_1 of each ``_composite`` M with the Bell pointers, from M M^dagger; shape (n,).
-
-    ``member_mats`` holds k <= 4 members, real or complex; member i gets the i-th Bell state.
-    """
-    m = _composite(member_mats, probs, BELL_MATRICES)
-    return np.linalg.eigvalsh(m @ m.conj().swapaxes(1, 2))[:, -1]
-
-
 def pointer_feasible(lam_max, tol: float = DEFAULT_TOL):
     """The Bell-pointer verdict from the top pointer-state eigenvalue, elementwise over arrays.
 
@@ -133,19 +114,23 @@ def pointer_feasible(lam_max, tol: float = DEFAULT_TOL):
     whose partial sums are (1/2, 1, 1, ...). Two or more entries of a spectrum sum to at most 1, so
     only the first partial sum can bind: the spectrum is majorized iff lambda_1 <= 1/2 + tol.
     """
-    return lam_max <= 0.5 + tol
+    return lam_max <= 0.5 + check_tol(tol)
 
 
 def ensemble_discrimination_feasible(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> bool:
     """Can the ensemble's members be perfectly distinguished by LOCC alone?
 
     Attaches the i-th Bell state as the i-th member's pointer and tests the
-    pointer state's top eigenvalue with ``pointer_feasible``.
+    pointer state's top eigenvalue with ``pointer_feasible``. That eigenvalue
+    comes from ``eigvalsh`` of M M^dagger, not from the singular values of M:
+    where lambda_1 is exactly 1/2 (the Bell states in some orders), the SVD
+    can round it above 1/2 and flip the verdict at tol = 0.
     """
-    if len(ensemble.members) > len(BELL_MATRICES):
+    pointers = bell_states()
+    if len(ensemble.members) > len(pointers):
         raise ValidationError("at most 4 ensemble members are supported")
-    members = [s.coefficient_matrix()[None] for s in ensemble.states]
-    return bool(pointer_feasible(pointer_lambda_max(members, ensemble.probs)[0], tol))
+    m = pointer_state(ensemble, pointers[: len(ensemble.members)]).coefficient_matrix()
+    return bool(pointer_feasible(np.linalg.eigvalsh(m @ m.conj().T)[-1], tol))
 
 
 def perfect_discrimination_feasible(

@@ -20,6 +20,7 @@ __all__ = [
     "ProbVector",
     "binary_entropy",
     "check_probabilities",
+    "check_tol",
     "entropy_bits",
     "entropy_terms",
     "majorized_rows",
@@ -39,6 +40,13 @@ DEFAULT_TOL = 1e-9
 def _is_index(value) -> bool:
     """An integer that is not a bool: the one rule for dimensions, sizes and member indices."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_tol(tol) -> float:
+    """A comparison tolerance: a finite number >= 0 that is not a bool, the one rule for every verdict and --tol."""
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)) or not 0.0 <= tol < math.inf:
+        raise ValidationError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    return tol
 
 
 def check_probabilities(values) -> np.ndarray:
@@ -115,6 +123,7 @@ def majorized_rows(x_desc: np.ndarray, y_desc: np.ndarray, tol: float = DEFAULT_
 
     Each side is one descending vector or one per row, the shorter zero-padded; the total (last sum) is skipped.
     """
+    check_tol(tol)
     n = max(x_desc.shape[-1], y_desc.shape[-1])
     cx = np.cumsum(_padded_desc(x_desc, n), axis=-1)
     cy = np.cumsum(_padded_desc(y_desc, n), axis=-1)

@@ -231,6 +231,9 @@ class Ensemble:
         members = tuple(self.members)
         if not members:
             raise ValidationError("ensemble must have at least one member")
+        for i, member in enumerate(members):
+            if not (isinstance(member, (tuple, list)) and len(member) == 2 and isinstance(member[1], PureState)):
+                raise ValidationError(f"ensemble member {i} must be a (probability, PureState) pair")
         probs = check_probabilities([p for p, _ in members]).tolist()
         states = [s for _, s in members]
         if len({(s.dim_a, s.dim_b) for s in states}) != 1:

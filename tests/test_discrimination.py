@@ -35,7 +35,7 @@ from entdisc import (
     three_state_feasible,
 )
 from entdisc.cli import load_ensemble_file
-from entdisc.discrimination import family_lambda_max, pointer_lambda_max, preserve_cap
+from entdisc.discrimination import family_lambda_max, preserve_cap
 from helpers import (
     alpha2_max_scan,
     entropy_direct,
@@ -174,7 +174,7 @@ def object_route(ensemble: Ensemble):
 class TestEnsembleDiscrimination:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (1, 2), (3, 3)])
     def test_matches_object_route(self, dims):
-        # the batched kernel against pointer_state + reduced_spectrum + mix
+        # the verdict against pointer_state + reduced_spectrum + mix
         # + majorizes, on random complex ensembles of 1-4 members
         rng = np.random.default_rng(100 + 10 * dims[0] + dims[1])
         verdicts = set()
@@ -182,9 +182,7 @@ class TestEnsembleDiscrimination:
             size = 1 + trial % 4
             states = [random_pure_state(rng, *dims) for _ in range(size)]
             ensemble = Ensemble(tuple(zip(rng.dirichlet(np.ones(size)).tolist(), states)))
-            lam, expected = object_route(ensemble)
-            members = np.stack([s.coefficient_matrix() for s in states])[:, None]
-            assert pointer_lambda_max(members, ensemble.probs)[0] == pytest.approx(lam.entries[0], rel=0.0, abs=1e-12)
+            _, expected = object_route(ensemble)
             assert ensemble_discrimination_feasible(ensemble) == expected
             verdicts.add(expected)
         assert verdicts == {True, False}
@@ -224,6 +222,43 @@ class TestEnsembleDiscrimination:
         states = [random_pure_state(np.random.default_rng(k), 2, 3) for k in range(5)]
         with pytest.raises(ValidationError, match="at most 4"):
             ensemble_discrimination_feasible(Ensemble.equal_priors(states))
+
+    def test_bell_states_keep_their_verdict_at_zero_tolerance(self):
+        # the Bell states with amplitudes sqrt(0.5), as the family at (0.5, 0.5) and a states file write them: where
+        # they pass (order 0,1,3,2 among them), lambda_1 is exactly 1/2. eigvalsh of M M^dagger keeps it there, while
+        # in 8 orders the pointer state's singular values square to 0.5000000000000001 and fail at tol 0
+        states = BellFamily.from_squared(0.5, 0.5).states()
+        verdicts = []
+        for order in itertools.permutations(range(4)):
+            ensemble = Ensemble.equal_priors([states[m] for m in order])
+            verdicts.append(ensemble_discrimination_feasible(ensemble, 0.0))
+            assert verdicts[-1] == ensemble_discrimination_feasible(ensemble), order
+        assert sum(verdicts) == 20
+
+
+HALF, PURE = ProbVector([0.5, 0.5]), ProbVector([1.0, 0.0])
+VERDICTS = {
+    "majorizes": lambda tol: majorizes(HALF, PURE, tol),
+    "locc_deterministic_feasible": lambda tol: locc_deterministic_feasible(HALF, PURE, tol),
+    "locc_ensemble_feasible": lambda tol: locc_ensemble_feasible(HALF, [(1.0, PURE)], tol),
+    "ensemble_discrimination_feasible": lambda tol: ensemble_discrimination_feasible(
+        Ensemble.equal_priors(bell_states()[:2]), tol
+    ),
+    "perfect_discrimination_feasible": lambda tol: perfect_discrimination_feasible(
+        BellFamily.from_squared(1.0, 1.0), None, tol
+    ),
+    "three_state_feasible": lambda tol: three_state_feasible(BellFamily.from_squared(1.0, 1.0), (0, 1, 2), None, tol),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERDICTS))
+def test_verdicts_refuse_a_bad_tolerance(name):
+    # a NaN or negative tolerance would make every comparison False and return a verdict with no error
+    verdict = VERDICTS[name]
+    assert verdict(0.0) in (True, False)
+    for tol in (math.nan, math.inf, -1e-3, "0.1", True):
+        with pytest.raises(ValidationError, match="tolerance must be a finite number >= 0"):
+            verdict(tol)
 
 
 class TestClosedForm:
@@ -278,10 +313,11 @@ class TestPointerLambdaMax:
         rng = np.random.default_rng(17)
         for trial in range(200):
             size = 1 + trial % 4
-            members = np.stack([random_pure_state(rng, 2, 2).coefficient_matrix() for _ in range(size)])
+            states = [random_pure_state(rng, 2, 2) for _ in range(size)]
             probs = rng.dirichlet(np.ones(size)).tolist()
-            lam = loop_lambda_max(members, probs)
-            assert pointer_lambda_max(members[:, None], probs) == pytest.approx([lam], rel=0.0, abs=1e-12)
+            lam = loop_lambda_max([s.coefficient_matrix() for s in states], probs)
+            pointer = pointer_state(Ensemble(tuple(zip(probs, states))), bell_states()[:size])
+            assert reduced_spectrum(pointer).entries[0] == pytest.approx(lam, rel=0.0, abs=1e-12)
         # part 2: three-member subsets in every order over a 21 x 21 lattice, both verdicts seen
         seen = {True: 0, False: 0}
         for a2, c2 in itertools.product(np.linspace(0.5, 1.0, 21), repeat=2):
@@ -356,8 +392,8 @@ class TestEveryMemberOrder:
         assert np.array_equal(family_lambda_max(a, b, c, d, [0.4, 0.3, 0.2, 0.1]), expected)
 
     def test_general_kernel_agrees_on_states_files(self, tmp_path):
-        # each order written as a states file, loaded and decided by the general eigvalsh kernel
-        # (ensemble_discrimination_feasible), against the closed form for that order
+        # each order written as a states file, loaded and decided by ensemble_discrimination_feasible (eigvalsh of
+        # the pointer state's M M^dagger), against the closed form for that order
         rng = np.random.default_rng(23)
         path = tmp_path / "states.json"
         seen = {True: 0, False: 0}

@@ -339,6 +339,12 @@ class TestEnsemble:
         with pytest.raises(ValidationError):
             Ensemble(((0.5, BELL), (0.5, odd)))
 
+    def test_rejects_malformed_members(self):
+        with pytest.raises(ValidationError, match="member 1 must be a"):
+            Ensemble(((0.5, BELL), (0.5, "x")))
+        with pytest.raises(ValidationError, match="member 0 must be a"):
+            Ensemble((1.0,))
+
     def test_equal_priors(self):
         ens = Ensemble.equal_priors(bell_states())
         assert ens.probs == [0.25] * 4
