@@ -82,8 +82,10 @@ def load_ensemble_file(path: str) -> Ensemble:
             data = json.load(handle)
     except OSError as exc:
         raise ValidationError(f"cannot read ensemble file: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"ensemble file is not valid JSON: {exc}")
+    except RecursionError:
+        raise ValidationError("ensemble file nests too deeply to read") from None
     if not isinstance(data, dict):
         raise ValidationError("ensemble file must contain a JSON object")
     if ("family" in data) == ("states" in data):
@@ -115,7 +117,8 @@ def load_ensemble_file(path: str) -> Ensemble:
             amps = np.array([complex(*_json_floats(part, f"state {idx} amplitudes")) for part in parts])
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"state {idx} is malformed: {exc}")
-        norm = float(np.linalg.norm(amps))
+        with np.errstate(over="ignore"):  # an overflowing norm is refused just below
+            norm = float(np.linalg.norm(amps))
         if not abs(norm - 1.0) <= FILE_NORM_TOL:
             raise ValidationError(f"state {idx} has norm {norm!r}, beyond the {FILE_NORM_TOL:.0e} load tolerance")
         if abs(norm - 1.0) > DEFAULT_TOL:

@@ -13,6 +13,8 @@ member order and subset (``family_lambda_max``).
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -84,7 +86,10 @@ def pointer_state(ensemble: Ensemble, pointers: Sequence[PureState]) -> PureStat
         for (prob, psi), phi in zip(ensemble.members, pointers)
     )
     dim_a, dim_c, dim_b, dim_d = composite.shape
-    return PureState.from_matrix(composite.reshape(dim_a * dim_c, dim_b * dim_d))
+    matrix = composite.reshape(dim_a * dim_c, dim_b * dim_d)
+    # The members', priors' and pointers' own tolerances can add up past DEFAULT_TOL: renormalize only then.
+    norm2 = np.vdot(matrix, matrix).real
+    return PureState.from_matrix(matrix if abs(norm2 - 1.0) <= DEFAULT_TOL else matrix / np.sqrt(norm2))
 
 
 def locc_deterministic_feasible(
@@ -140,6 +145,17 @@ def perfect_discrimination_feasible(
     return bool(pointer_feasible(closed_form_lhs(family, probs), tol))
 
 
+@functools.lru_cache(maxsize=None)
+def _order_class(order: tuple[int, ...]) -> tuple:
+    """What ``family_lambda_max`` reads from a member order: whether each pair's members swap, the pointers
+    i < j of members 0 and 1 and k < l of members 2 and 3, and the order's parity (a three-member order padded)."""
+    if len(order) == 3:
+        order = (*order, 6 - sum(order))
+    slot = [order.index(member) for member in range(4)]
+    odd = sum(x > y for n, x in enumerate(order) for y in order[n + 1 :]) % 2
+    return slot[1] < slot[0], slot[3] < slot[2], tuple(sorted(slot[:2])), tuple(sorted(slot[2:])), odd
+
+
 def family_lambda_max(a, b, c, d, probs: list[float], order: tuple[int, ...] = (0, 1, 2, 3)):
     """Top eigenvalue of the family's Bell-pointer state, clamped at 1, elementwise over arrays.
 
@@ -156,23 +172,27 @@ def family_lambda_max(a, b, c, d, probs: list[float], order: tuple[int, ...] = (
     diagonal gap and off-diagonal entry (pointers taken as i, k, l, j).
     Equal priors in the natural order give (a + b + c + d)^2 / 8, summed in that order; at a = b = c = d it rounds
     to 1.0000000000000002, hence the clamp.
+    A call on one point's floats gives the array call's element bit for bit: squares are products, as numpy squares
+    arrays, since a scalar's ** 2 calls C pow, which misses x * x by an ulp for about 1 in 1000 x. Each order's class
+    (``_order_class``) is worked out once, and the priors' roots are taken by ``math.sqrt`` (both correctly rounded).
     """
     if order == (0, 1, 2, 3) and probs == [0.25] * 4:
-        return np.minimum((a + b + c + d) ** 2 / 8.0, 1.0)
-    if len(order) == 3:
-        order, probs = (*order, 6 - sum(order)), [*probs, 0.0]
-    slot = [order.index(member) for member in range(4)]
-    a, b = (b, -a) if slot[1] < slot[0] else (a, b)
-    c, d = (d, -c) if slot[3] < slot[2] else (c, d)
-    (i, j), (k, l), s = sorted(slot[:2]), sorted(slot[2:]), np.sqrt(probs)
-    s_l = -s[l] if sum(x > y for n, x in enumerate(order) for y in order[n + 1 :]) % 2 else s[l]
+        total = a + b + c + d
+        return np.minimum(total * total / 8.0, 1.0)
+    swap_ab, swap_cd, (i, j), (k, l), odd = _order_class(order)
+    probs = [*probs, 0.0] if len(order) == 3 else probs
+    a, b = (b, -a) if swap_ab else (a, b)
+    c, d = (d, -c) if swap_cd else (c, d)
+    s = [math.sqrt(p) for p in probs]
+    s_l = -s[l] if odd else s[l]
     if i + j == 3:
         gap = (probs[i] - probs[j]) * (a * a - b * b) + (probs[k] - probs[l]) * (c * c - d * d)
         off = np.hypot((s[i] * s[k] - s_l * s[j]) * (a * d + b * c), (s[k] * s[j] - s[i] * s_l) * (a * c - b * d))
         return 0.25 + np.hypot(gap, 2.0 * off) / 4.0
     b03, b12 = (np.hypot((s[i] + t) * (a + b), (s[k] - u) * (c - d)) + np.hypot((s[i] - t) * (a - b), (s[k] + u) * (c + d))
                 for t, u in ((s[j], s_l), (-s[j], -s_l)))
-    return np.minimum(np.maximum(b03, b12) ** 2 / 8.0, 1.0)
+    top = np.maximum(b03, b12)
+    return np.minimum(top * top / 8.0, 1.0)
 
 
 def closed_form_lhs(family: BellFamily, probs: Sequence[float] | None = None) -> float:

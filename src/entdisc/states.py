@@ -50,8 +50,8 @@ class PureState:
                 f"got {amps.size} amplitudes for dimensions {self.dim_a}x{self.dim_b}"
             )
         norm2 = float(np.vdot(amps, amps).real)
-        # A NaN or infinite amplitude makes norm^2 non-finite.
-        if not math.isfinite(norm2):
+        # A NaN or infinite amplitude makes norm^2 non-finite; so do finite ones whose squares overflow.
+        if not math.isfinite(norm2) and not np.isfinite(amps).all():
             raise ValidationError("state amplitudes must be finite")
         if abs(norm2 - 1.0) > DEFAULT_TOL:
             raise ValidationError(f"state norm^2 is {norm2!r}, expected 1 within {DEFAULT_TOL:.0e}")
@@ -188,12 +188,7 @@ class BellFamily:
         for name, value in (("a2", a2), ("c2", c2)):
             if not 0.5 <= value <= 1.0:
                 raise ValidationError(f"{name}={value!r} outside [0.5, 1]")
-        return cls(
-            a=float(np.sqrt(a2)),
-            b=float(np.sqrt(1.0 - a2)),
-            c=float(np.sqrt(c2)),
-            d=float(np.sqrt(1.0 - c2)),
-        )
+        return cls(a=math.sqrt(a2), b=math.sqrt(1.0 - a2), c=math.sqrt(c2), d=math.sqrt(1.0 - c2))
 
     def states(self) -> list[PureState]:
         """The four mutually orthogonal family members as 2x2 pure states."""

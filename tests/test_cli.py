@@ -563,6 +563,14 @@ class TestInputContract:
             (["discriminate"], EMPTY_AMPLITUDE),
             (["discriminate"], TRIPLE_AMPLITUDE),
             (["discriminate"], SINGLE_AMPLITUDE),
+            # bytes that are not UTF-8 and nesting beyond the parser's depth
+            # used to exit 1 with a UnicodeDecodeError and a RecursionError
+            (["discriminate"], b"\xff\xfe"),
+            pytest.param(["discriminate"], '{"family": {"a2": 0.8, "c2": 0.7}, "probs": %s}' % ("[" * 100000 + "]" * 100000),
+                         id="probs-nested-100000-deep"),
+            # a finite amplitude whose square overflows printed numpy's
+            # two-line overflow warning before the error
+            (["discriminate"], AMPLITUDES_STATE % "[[1e200, 0], [0, 0], [0, 0], [0, 0]]"),
         ],
     )
     def test_malformed_values_exit_2(self, capsys, tmp_path, argv, file_text):
@@ -572,7 +580,7 @@ class TestInputContract:
         # called themselves non-finite
         if file_text is not None:
             path = tmp_path / "ens.json"
-            path.write_text(file_text)
+            path.write_bytes(file_text) if isinstance(file_text, bytes) else path.write_text(file_text)
             argv = argv + ["--ensemble", str(path)]
         assert self.assert_rejected(capsys, *argv).startswith(STATE_ERRORS.get(file_text, "error: "))
 

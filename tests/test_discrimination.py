@@ -104,6 +104,15 @@ class TestPointerState:
         oracle = rdm_spectrum(joint)
         assert np.allclose(lam, oracle, atol=1e-12)
 
+    def test_tolerances_that_add_up_still_give_a_state(self):
+        # each state's norm^2 and the priors' sum are 1 + 0.9e-9, inside DEFAULT_TOL, but the composite's norm^2
+        # is about 1 + 1.8e-9: it used to raise ValidationError, and so did the verdict read from it
+        states = [PureState(bell.amplitudes * math.sqrt(1.0 + 0.9e-9), 2, 2) for bell in bell_states()[:2]]
+        ensemble = Ensemble(tuple((0.5 + 0.45e-9, s) for s in states))
+        joint = pointer_state(ensemble, bell_states()[:2])
+        assert abs(np.vdot(joint.amplitudes, joint.amplitudes).real - 1.0) < 1e-15
+        assert ensemble_discrimination_feasible(ensemble)
+
     def test_rejects_non_orthogonal_pointers(self):
         tilted = PureState(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0), 2, 2)
         with pytest.raises(ValidationError):
@@ -410,6 +419,28 @@ class TestEveryMemberOrder:
                     assert verdict == (lam <= 0.5 + DEFAULT_TOL), (order, a2, c2, probs)
                     seen[verdict] += 1
         assert min(seen.values()) > 100
+
+
+class TestPerPointMatchesSweep:
+    # the per-point verdicts and the sweep columns share one kernel, so a call on one point's Python floats must
+    # give the array call's element bit for bit; math.hypot, for one, differs from np.hypot in the last bit
+    @pytest.mark.parametrize(
+        "orders, priors",
+        [
+            (ORDERS, ([0.25] * 4, [0.4, 0.3, 0.2, 0.1], [0.5, 0.3, 0.2, 0.0], [0.1, 0.2, 0.3, 0.4])),
+            (list(itertools.permutations(range(4), 3)), ([1 / 3] * 3, [0.5, 0.3, 0.2], [0.6, 0.4, 0.0])),
+        ],
+        ids=["four-members", "three-members"],
+    )
+    def test_scalar_calls_equal_array_elements(self, orders, priors):
+        a2, c2 = (m.ravel() for m in np.meshgrid(*[np.linspace(0.5, 1.0, 21)] * 2, indexing="ij"))
+        amplitudes = np.sqrt(a2), np.sqrt(1.0 - a2), np.sqrt(c2), np.sqrt(1.0 - c2)
+        families = [BellFamily.from_squared(x, y) for x, y in zip(a2.tolist(), c2.tolist())]
+        assert [[f.a, f.b, f.c, f.d] for f in families] == np.transpose(amplitudes).tolist()
+        for order in orders:
+            for probs in priors:
+                points = [family_lambda_max(f.a, f.b, f.c, f.d, probs, order) for f in families]
+                assert np.array_equal(points, family_lambda_max(*amplitudes, probs, order)), (order, probs)
 
 
 class TestThreeState:

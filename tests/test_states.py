@@ -38,6 +38,11 @@ class TestPureState:
             with pytest.raises(ValidationError, match="finite"):
                 PureState(np.array([bad, 0.0, 0.0, 1.0]), 2, 2)
 
+    def test_overflowing_norm_is_named_as_the_norm(self):
+        # finite amplitudes whose squares overflow used to be called non-finite
+        with pytest.raises(ValidationError, match=r"^state norm\^2 is inf, expected 1 within"):
+            PureState(np.array([1e200, 0.0, 0.0, 0.0]), 2, 2)
+
     @pytest.mark.parametrize("dims", [(2.0, 2), (2, 2.9), (True, 4), ("2", 2), (0, 4), (np.float64(2.0), 2)])
     def test_rejects_non_integer_dimensions(self, dims):
         # floats and bools used to construct and then fail with a raw
