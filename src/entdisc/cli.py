@@ -98,6 +98,8 @@ def load_ensemble_file(path: str) -> Ensemble:
         entry = data["family"]
         if not isinstance(entry, dict) or "a2" not in entry or "c2" not in entry:
             raise ValidationError("'family' must be an object with keys 'a2' and 'c2'")
+        if not isinstance(probs, (list, type(None))):
+            raise ValidationError("'probs' must be a list of numbers or null")
         a2, c2 = _json_floats([entry["a2"], entry["c2"]], "'family' values")
         return _family_ensemble(BellFamily.from_squared(a2, c2), probs)
 
@@ -291,8 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """``warnings.formatwarning`` while ``main`` runs: a warning prints as one ``warning:`` line."""
+    return f"warning: {str(message).translate(_LINE_BREAKS)}\n"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         result = args.handler(args)
         if result is not None:
@@ -311,6 +319,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

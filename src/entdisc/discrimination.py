@@ -42,7 +42,6 @@ from .states import (
 
 __all__ = [
     "CostReport",
-    "Ensemble",
     "Residual",
     "assisted_alpha2_max",
     "closed_form_lhs",
@@ -157,7 +156,7 @@ def _order_class(order: tuple[int, ...]) -> tuple:
 
 
 def family_lambda_max(a, b, c, d, probs: list[float], order: tuple[int, ...] = (0, 1, 2, 3)):
-    """Top eigenvalue of the family's Bell-pointer state, clamped at 1, elementwise over arrays.
+    """Top eigenvalue of the family's Bell-pointer state, clamped at 1 (1/2 in the W class), elementwise over arrays.
 
     ``order[j]`` is the member on Bell pointer j and ``probs[j]`` its prior; a zero prior drops a member, so a
     three-member order gets the missing member on pointer 3 at prior 0. Relabelling (a, b) as (b, -a), or (c, d)
@@ -171,7 +170,8 @@ def family_lambda_max(a, b, c, d, probs: list[float], order: tuple[int, ...] = (
     doubled, so the unit trace caps lambda_1 at 1/2, and the 2x2 Hermitian formula gives it from the block's
     diagonal gap and off-diagonal entry (pointers taken as i, k, l, j).
     Equal priors in the natural order give (a + b + c + d)^2 / 8, summed in that order; at a = b = c = d it rounds
-    to 1.0000000000000002, hence the clamp.
+    to 1.0000000000000002, hence the clamp. The W class is clamped at its cap of 1/2: where two members share the
+    priors, its formula, like a dense eigensolve, can round past the cap by an ulp, and an orthogonal pair must pass.
     A call on one point's floats gives the array call's element bit for bit: squares are products, as numpy squares
     arrays, since a scalar's ** 2 calls C pow, which misses x * x by an ulp for about 1 in 1000 x. Each order's class
     (``_order_class``) is worked out once, and the priors' roots are taken by ``math.sqrt`` (both correctly rounded).
@@ -188,7 +188,7 @@ def family_lambda_max(a, b, c, d, probs: list[float], order: tuple[int, ...] = (
     if i + j == 3:
         gap = (probs[i] - probs[j]) * (a * a - b * b) + (probs[k] - probs[l]) * (c * c - d * d)
         off = np.hypot((s[i] * s[k] - s_l * s[j]) * (a * d + b * c), (s[k] * s[j] - s[i] * s_l) * (a * c - b * d))
-        return 0.25 + np.hypot(gap, 2.0 * off) / 4.0
+        return np.minimum(0.25 + np.hypot(gap, 2.0 * off) / 4.0, 0.5)
     b03, b12 = (np.hypot((s[i] + t) * (a + b), (s[k] - u) * (c - d)) + np.hypot((s[i] - t) * (a - b), (s[k] + u) * (c + d))
                 for t, u in ((s[j], s_l), (-s[j], -s_l)))
     top = np.maximum(b03, b12)

@@ -19,11 +19,7 @@ __all__ = [
     "DEFAULT_TOL",
     "ProbVector",
     "binary_entropy",
-    "check_probabilities",
-    "check_tol",
     "entropy_bits",
-    "entropy_terms",
-    "majorized_rows",
     "majorizes",
     "mix",
     "pad",

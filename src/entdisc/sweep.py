@@ -25,12 +25,8 @@ from .states import BellFamily, check_family_priors, check_which
 
 __all__ = [
     "CSV_HEADER",
-    "MAX_GRID_N",
-    "SWEEP_MODES",
     "SweepRecord",
-    "SweepTable",
     "avg_entanglement",
-    "format_value",
     "records_to_csv",
     "run_sweep",
     "write_csv",

@@ -7,12 +7,14 @@ grid scan (the package uses the closed form), and pointer-state top
 eigenvalues from an index-loop build and a dense eigensolve (the package uses
 a closed form for the family and a batched build from the Bell matrices
 otherwise). ``RecordingWriter`` stands in for a text file, or wraps one, to
-show how output reaches it; ``NullWriter`` discards it; and
-``fail_on_second_block`` stops a sweep part way through.
+show how output reaches it; ``NullWriter`` discards it;
+``fail_on_second_block`` stops a sweep part way through; and ``child_env``
+runs the package in a child process.
 """
 
 import itertools
 import math
+import os
 
 import numpy as np
 
@@ -154,3 +156,9 @@ def fail_on_second_block(monkeypatch, exc_type) -> None:
         return _original(*args)
 
     monkeypatch.setattr(entdisc.sweep, "_scan_columns", scan)
+
+
+def child_env() -> dict:
+    """The environment for a child Python process that imports this checkout's ``entdisc``."""
+    src = os.path.dirname(entdisc.__path__[0])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -11,7 +11,7 @@ import pytest
 import entdisc
 from entdisc import BellFamily, perfect_discrimination_feasible, records_to_csv, run_sweep
 from entdisc.cli import build_parser, load_ensemble_file, main
-from helpers import RecordingWriter, assert_block_writes, fail_on_second_block
+from helpers import RecordingWriter, assert_block_writes, child_env, fail_on_second_block
 
 
 def run_cli(capsys, *argv):
@@ -240,6 +240,16 @@ class TestEnsembleFile:
         assert ensemble.probs == [1.0]
         assert np.vdot(ensemble.states[0].amplitudes, ensemble.states[0].amplitudes).real == pytest.approx(1.0, abs=1e-12)
 
+    def test_renormalization_notice_is_one_line(self, tmp_path):
+        # the notice used to print as "<path>:<line>: UserWarning: ..." followed by the calling source line; a child
+        # process shows what a shell sees, since pytest records warnings instead of printing them
+        path = tmp_path / "ens.json"
+        path.write_text('{"states": [{"amplitudes": [1.0000001, 0, 0, 0], "dim_a": 2, "dim_b": 2}], "probs": [1.0]}')
+        argv = [sys.executable, "-m", "entdisc.cli", "discriminate", "--ensemble", str(path), "--json"]
+        child = subprocess.run(argv, capture_output=True, text=True, env=child_env(), timeout=60)
+        assert (child.returncode, child.stdout) == (0, '{"feasible_unassisted": true}\n')
+        assert child.stderr == "warning: state 0 renormalized on load (norm was 1.0000001)\n"
+
     def test_rejects_norm_beyond_file_tolerance(self, tmp_path):
         amps = [[0.7, 0.0], [0.0, 0.0], [0.0, 0.0], [0.8, 0.0]]
         path = tmp_path / "ens.json"
@@ -335,10 +345,8 @@ class TestSweepCommand:
     def test_reader_closing_the_pipe_exits_141_quietly(self):
         # `entdisc sweep ... | head -1` used to exit 2 with "cannot write CSV: [Errno 32] Broken pipe", though an
         # early reader gives no bad input. The grid-301 CSV is far larger than a pipe's buffer.
-        src = os.path.dirname(entdisc.__path__[0])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         argv = [sys.executable, "-m", "entdisc.cli", "sweep", "--mode", "assist", "--grid-n", "301"]
-        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()) as child:
             assert child.stdout.readline().startswith(b"a2,c2,")
             child.stdout.close()
             assert child.wait(timeout=60) == 141
@@ -403,8 +411,13 @@ AMPLITUDES_STATE = '{"states": [{"amplitudes": %s, "dim_a": 2, "dim_b": 2}], "pr
 EMPTY_AMPLITUDE = AMPLITUDES_STATE % "[[1, 0], [], [0, 0], [0, 0]]"
 TRIPLE_AMPLITUDE = AMPLITUDES_STATE % "[[1, 0, 0], [0, 0], [0, 0], [0, 0]]"
 SINGLE_AMPLITUDE = AMPLITUDES_STATE % "[[0, 0], [0, 0], [1], [0, 0]]"
-# What a states file's error line starts with when PureState rejects one of its states.
+STRING_PROBS_FAMILY = '{"family": {"a2": 0.8, "c2": 0.7}, "probs": "abc"}'
+OBJECT_PROBS_FAMILY = '{"family": {"a2": 0.8, "c2": 0.7}, "probs": {"a": 1}}'
+# What a file's error line starts with where the reason is pinned: a states file's when PureState rejects one of
+# its states, and a family file's when its 'probs' is no list.
 STATE_ERRORS = {
+    STRING_PROBS_FAMILY: "error: 'probs' must be a list of numbers or null",
+    OBJECT_PROBS_FAMILY: "error: 'probs' must be a list of numbers or null",
     FLOAT_DIM_STATE: "error: state 0: local dimensions must be positive integers, got 2.9 and 2",
     SHORT_SECOND_STATE: "error: state 1: got 3 amplitudes for dimensions 2x2",
     EMPTY_AMPLITUDE: "error: state 0 amplitude 1 is not a number or an [re, im] pair",
@@ -571,6 +584,9 @@ class TestInputContract:
             # a finite amplitude whose square overflows printed numpy's
             # two-line overflow warning before the error
             (["discriminate"], AMPLITUDES_STATE % "[[1e200, 0], [0, 0], [0, 0], [0, 0]]"),
+            # a family file's string or object 'probs' was read as a sequence of priors
+            (["discriminate"], STRING_PROBS_FAMILY),
+            (["bounds"], OBJECT_PROBS_FAMILY),
         ],
     )
     def test_malformed_values_exit_2(self, capsys, tmp_path, argv, file_text):

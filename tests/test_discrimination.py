@@ -388,6 +388,24 @@ class TestEveryMemberOrder:
                 assert spectrum[3] <= 0.5 + 1e-12
                 assert order_lambda_max(a2, c2, probs, order) == pytest.approx(spectrum[3], rel=0.0, abs=1e-13)
 
+    def test_w_class_never_rounds_past_half(self):
+        # any two orthogonal states are LOCC-distinguishable, yet with two priors of 1/2 the W class's closed form
+        # used to round past its cap to 0.5000000000000001, so tol 0 called such a pair indistinguishable
+        axis = np.linspace(0.5, 1.0, 101)
+        a2, c2 = (m.ravel() for m in np.meshgrid(axis, axis, indexing="ij"))
+        amplitudes = np.sqrt(a2), np.sqrt(1.0 - a2), np.sqrt(c2), np.sqrt(1.0 - c2)
+        families = [BellFamily.from_squared(x, y) for x, y in itertools.product(axis[::10].tolist(), repeat=2)]
+        assert (families[0].a, families[0].c) == (math.sqrt(0.5), math.sqrt(0.5))
+        for size in (3, 4):
+            padded = {order: (*order, 6 - sum(order))[:4] for order in itertools.permutations(range(4), size)}
+            orders = [order for order, full in padded.items() if {full.index(0), full.index(1)} in ({0, 3}, {1, 2})]
+            assert len(orders) == 8
+            for order, pair in itertools.product(orders, itertools.combinations(range(size), 2)):
+                probs = [0.5 if j in pair else 0.0 for j in range(size)]
+                assert family_lambda_max(*amplitudes, probs, order).max() <= 0.5, (order, probs)
+                if size == 3:
+                    assert all(three_state_feasible(f, order, probs, tol=0.0) for f in families), (order, probs)
+
     def test_natural_order_keeps_its_bits(self):
         # the assist CSV bytes were pinned with these two formulas for the natural order: (a + b + c + d)^2 / 8 at
         # equal priors and the "X" matrix's {0, 3} block otherwise
