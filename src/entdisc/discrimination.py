@@ -79,11 +79,10 @@ def pointer_state(ensemble: Ensemble, pointers: Sequence[PureState]) -> PureStat
         for j in range(i + 1, len(pointers)):
             if abs(pointers[i].overlap(pointers[j])) > DEFAULT_TOL:
                 raise ValidationError(f"pointers {i} and {j} are not orthogonal")
-    # Axes (a, c, b, d): the AC and BD index pairs are adjacent, so the reshape is a view.
-    composite = sum(
-        psi.coefficient_matrix()[:, None, :, None] * phi.coefficient_matrix()[None, :, None, :] * np.sqrt(prob)
-        for (prob, psi), phi in zip(ensemble.members, pointers)
-    )
+    # Axes (member, a, c, b, d), summed over members in order; the AC and BD pairs are adjacent, so the reshape is a view.
+    psi = np.array([s.amplitudes for s in ensemble.states]).reshape(-1, ensemble.dim_a, 1, ensemble.dim_b, 1)
+    phi = np.array([p.amplitudes for p in pointers]).reshape(-1, 1, pointers[0].dim_a, 1, pointers[0].dim_b)
+    composite = (psi * phi * np.sqrt(ensemble.probs).reshape(-1, 1, 1, 1, 1)).sum(axis=0)
     dim_a, dim_c, dim_b, dim_d = composite.shape
     matrix = composite.reshape(dim_a * dim_c, dim_b * dim_d)
     # The members', priors' and pointers' own tolerances can add up past DEFAULT_TOL: renormalize only then.
@@ -126,15 +125,18 @@ def ensemble_discrimination_feasible(ensemble: Ensemble, tol: float = DEFAULT_TO
 
     Attaches the i-th Bell state as the i-th member's pointer and tests the
     pointer state's top eigenvalue with ``pointer_feasible``. That eigenvalue
-    comes from ``eigvalsh`` of M M^dagger, not from the singular values of M:
-    where lambda_1 is exactly 1/2 (the Bell states in some orders), the SVD
-    can round it above 1/2 and flip the verdict at tol = 0.
+    comes from ``eigvalsh`` of M M^dagger, not from the singular values of M,
+    but where lambda_1 is exactly 1/2 either can round it above 1/2 and flip
+    the verdict at tol = 0: one member or an orthogonal pair is clamped at 1/2.
     """
     pointers = bell_states()
     if len(ensemble.members) > len(pointers):
         raise ValidationError("at most 4 ensemble members are supported")
     m = pointer_state(ensemble, pointers[: len(ensemble.members)]).coefficient_matrix()
-    return bool(pointer_feasible(np.linalg.eigvalsh(m @ m.conj().T)[-1], tol))
+    lam, states = np.linalg.eigvalsh(m @ m.conj().T)[-1], ensemble.states
+    # lambda_1 <= 1/2 for one member and <= (1 + |<psi_0|psi_1>|) / 2 for two: orthogonal pairs must not round past 1/2.
+    capped = len(states) == 1 or len(states) == 2 and abs(states[0].overlap(states[1])) <= DEFAULT_TOL
+    return bool(pointer_feasible(min(lam, 0.5) if capped else lam, tol))
 
 
 def perfect_discrimination_feasible(

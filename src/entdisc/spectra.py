@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice, zip_longest
 from typing import Iterable
 
 import numpy as np
@@ -108,32 +109,23 @@ class ProbVector:
         return f"ProbVector([{body}])"
 
 
-def _padded_desc(x: np.ndarray, n: int) -> np.ndarray:
-    if x.shape[-1] >= n:
-        return x
-    return np.concatenate([x, np.zeros((*x.shape[:-1], n - x.shape[-1]))], axis=-1)
-
-
-def majorized_rows(x_desc: np.ndarray, y_desc: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """The partial-sum test: is ``x_desc`` majorized by ``y_desc``, row by row?
-
-    Each side is one descending vector or one per row, the shorter zero-padded; the total (last sum) is skipped.
-    """
-    check_tol(tol)
-    n = max(x_desc.shape[-1], y_desc.shape[-1])
-    cx = np.cumsum(_padded_desc(x_desc, n), axis=-1)
-    cy = np.cumsum(_padded_desc(y_desc, n), axis=-1)
-    return np.all(cx[..., :-1] <= cy[..., :-1] + tol, axis=-1)
-
-
 def majorizes(x: ProbVector, y: ProbVector, tol: float = DEFAULT_TOL) -> bool:
-    """Return True iff ``x`` is majorized by ``y``.
+    """Return True iff ``x`` is majorized by ``y``: the one partial-sum test.
 
     The shorter vector is zero-padded before comparing partial sums of the
     descending-sorted entries; total-sum equality holds by the normalization
-    invariant, so only the dominance inequalities are checked.
+    invariant, so the last sum is skipped. The sums run on Python floats in
+    the order ``np.cumsum`` adds, so verdicts match an array test bit for bit.
     """
-    return bool(majorized_rows(x.entries, y.entries, tol))
+    check_tol(tol)
+    xs, ys = x.entries.tolist(), y.entries.tolist()
+    sum_x = sum_y = 0.0
+    for a, b in islice(zip_longest(xs, ys, fillvalue=0.0), max(len(xs), len(ys)) - 1):
+        sum_x += a
+        sum_y += b
+        if sum_x > sum_y + tol:
+            return False
+    return True
 
 
 def tensor(x: ProbVector, y: ProbVector) -> ProbVector:
@@ -145,7 +137,7 @@ def pad(x: ProbVector, d: int) -> ProbVector:
     """Append zeros up to dimension ``d``, an integer that must not shrink the vector."""
     if not (_is_index(d) and d >= x.dim):
         raise ValidationError(f"cannot pad dimension {x.dim} to {d!r}")
-    return ProbVector(_padded_desc(x.entries, d))
+    return ProbVector(np.concatenate([x.entries, np.zeros(d - x.dim)]))
 
 
 def mix(weighted: Iterable[tuple[float, ProbVector]]) -> ProbVector:
@@ -156,11 +148,11 @@ def mix(weighted: Iterable[tuple[float, ProbVector]]) -> ProbVector:
     component-wise with the given weights.
     """
     pairs = list(weighted)
-    weights = check_probabilities([p for p, _ in pairs])
-    n = max(v.dim for _, v in pairs)
-    out = np.zeros(n)
+    weights = check_probabilities([p for p, _ in pairs]).tolist()
+    out = [0.0] * max(v.dim for _, v in pairs)
+    # One w * v product and one sum per entry, in member order, so the bits match an array's out += w * v.
     for w, (_, v) in zip(weights, pairs):
-        out += w * _padded_desc(v.entries, n)
+        out[: v.dim] = [total + w * entry for total, entry in zip(out, v.entries.tolist())]
     return ProbVector(out)
 
 

@@ -122,11 +122,17 @@ def reduced_spectrum(state: PureState) -> ProbVector:
     calls return the same vector.
     """
     spectrum = getattr(state, "_spectrum", None)
-    if spectrum is None:
-        sing = np.linalg.svd(state.coefficient_matrix(), compute_uv=False)
-        spectrum = ProbVector(sing**2)
-        object.__setattr__(state, "_spectrum", spectrum)
-    return spectrum
+    return reduced_spectra([state])[0] if spectrum is None else spectrum
+
+
+def reduced_spectra(states: list[PureState]) -> list[ProbVector]:
+    """``reduced_spectrum`` of states sharing one shape, with one stacked SVD for those not yet computed."""
+    todo = [s for s in states if getattr(s, "_spectrum", None) is None]
+    if todo:
+        sing = np.linalg.svd(np.array([s.coefficient_matrix() for s in todo]), compute_uv=False)
+        for state, row in zip(todo, sing):
+            object.__setattr__(state, "_spectrum", ProbVector(row**2))
+    return [s._spectrum for s in states]
 
 
 def family_matrices(a: float, b: float, c: float, d: float) -> np.ndarray:
@@ -302,6 +308,7 @@ def distinguishability_bound(ensemble: Ensemble) -> DistinguishabilityBound:
     side by side; the robustness bound is always the tightest.
     """
     states = ensemble.states
+    reduced_spectra(states)
     total_dim = ensemble.dim_a * ensemble.dim_b
     mean_rob = float(np.mean([1.0 + global_robustness(s) for s in states]))
     mean_rel = float(np.mean([2.0 ** relative_entropy_ent(s) for s in states]))

@@ -71,6 +71,27 @@ class TestPointerState:
         assert (joint.dim_a, joint.dim_b) == (4, 2 * dim_d)
         assert np.allclose(joint.coefficient_matrix(), expected.reshape(4, 2 * dim_d), rtol=0.0, atol=1e-12)
 
+    def test_amplitude_bits_match_a_member_order_sum(self):
+        # oracle: np.kron(psi_i, phi_i) * sqrt(p_i), the kron's rows (a, c) and columns (b, d) being the AC:BD
+        # cut, added member by member in order; members of 1x1 to 4x4 against Bell and random pointers
+        rng = np.random.default_rng(14)
+        for trial in range(300):
+            size = 1 + trial % 4
+            dim_a, dim_b = rng.integers(1, 5, size=2).tolist()
+            states = [random_pure_state(rng, dim_a, dim_b) for _ in range(size)]
+            probs = rng.dirichlet(np.ones(size)).tolist()
+            if trial % 2:
+                pointers = bell_states()[:size]
+            else:
+                dim_c, dim_d = (2, 2) if size > 2 else (1, 2)
+                pointers = [PureState(c, dim_c, dim_d) for c in random_unitary(rng, dim_c * dim_d)[:, :size].T]
+            expected = None
+            for p, psi, phi in zip(probs, states, pointers):
+                term = np.kron(psi.coefficient_matrix(), phi.coefficient_matrix()) * math.sqrt(p)
+                expected = term if expected is None else expected + term
+            joint = pointer_state(Ensemble(tuple(zip(probs, states))), pointers)
+            assert np.array_equal(joint.coefficient_matrix(), expected)
+
     def test_four_member_top_eigenvalue_closed_form(self):
         for a2, c2 in [(0.5, 0.5), (0.8, 0.7), (1.0, 1.0), (0.67, 0.99)]:
             family = BellFamily.from_squared(a2, c2)
@@ -243,6 +264,48 @@ class TestEnsembleDiscrimination:
             verdicts.append(ensemble_discrimination_feasible(ensemble, 0.0))
             assert verdicts[-1] == ensemble_discrimination_feasible(ensemble), order
         assert sum(verdicts) == 20
+
+    def test_every_ordered_bell_pair_passes_at_zero_tolerance(self, tmp_path):
+        # written as a states file writes them, with 0.7071067811865476: eigvalsh rounded lambda_1 = 1/2 up to
+        # 0.5000000000000001 in 8 of the 12 ordered pairs, which failed at tol 0
+        h = 0.7071067811865476
+        bell = [[h, 0, 0, h], [h, 0, 0, -h], [0, h, h, 0], [0, h, -h, 0]]
+        path = tmp_path / "pair.json"
+        for first, second in itertools.permutations(bell, 2):
+            states = [{"dim_a": 2, "dim_b": 2, "amplitudes": amps} for amps in (first, second)]
+            path.write_text(json.dumps({"probs": [0.5, 0.5], "states": states}))
+            assert ensemble_discrimination_feasible(load_ensemble_file(path), 0.0), (first, second)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
+    def test_orthonormal_pairs_pass_at_zero_tolerance(self, dims):
+        # local unitaries applied to orthogonal product pairs and to (|00> + |11>, |01> + |10>) / sqrt(2) keep
+        # lambda_1 at its cap of 1/2, which a dense eigensolve can round past; random pairs sit below it.
+        # A single member's lambda_1 is capped at 1/2 as well
+        rng = np.random.default_rng(20 + 10 * dims[0] + dims[1])
+        for trial in range(60):
+            u, v = random_unitary(rng, dims[0]), random_unitary(rng, dims[1])
+            if trial % 3 == 0:
+                pair = [np.outer(u[:, 0], v[:, 0]), np.outer(u[:, 1], v[:, int(rng.integers(dims[1]))])]
+            elif trial % 3 == 1:
+                pair = [np.outer(u[:, 0], v[:, 0]) + np.outer(u[:, 1], v[:, 1]),
+                        np.outer(u[:, 0], v[:, 1]) + np.outer(u[:, 1], v[:, 0])]
+                pair = [m / math.sqrt(2.0) for m in pair]
+            else:
+                pair = random_unitary(rng, dims[0] * dims[1])[:, :2].T.reshape(2, *dims)
+            probs = [0.5, 0.5] if trial % 2 else rng.dirichlet(np.ones(2)).tolist()
+            ensemble = Ensemble(tuple(zip(probs, map(PureState.from_matrix, pair))))
+            assert ensemble_discrimination_feasible(ensemble, 0.0), trial
+            assert ensemble_discrimination_feasible(Ensemble(((1.0, ensemble.states[0]),)), 0.0), trial
+
+    def test_a_nearly_orthogonal_pair_above_half_still_fails(self):
+        # overlaps 1e-6 and 2e-9, both above DEFAULT_TOL, put the dense lambda_1 above 1/2 by about half of them
+        phi_plus, phi_minus = bell_states()[:2]
+        for eps in (1e-6, 2e-9):
+            tilted = phi_minus.amplitudes + eps * phi_plus.amplitudes
+            second = PureState(tilted / np.linalg.norm(tilted), 2, 2)
+            members = [phi_plus.coefficient_matrix(), second.coefficient_matrix()]
+            assert loop_lambda_max(members, [0.5, 0.5]) > 0.5
+            assert not ensemble_discrimination_feasible(Ensemble.equal_priors([phi_plus, second]), 0.0)
 
 
 HALF, PURE = ProbVector([0.5, 0.5]), ProbVector([1.0, 0.0])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from entdisc import (
+    DEFAULT_TOL,
     ProbVector,
     ValidationError,
     binary_entropy,
@@ -11,7 +12,7 @@ from entdisc import (
     pad,
     tensor,
 )
-from entdisc.spectra import check_probabilities, majorized_rows
+from entdisc.spectra import check_probabilities
 from helpers import majorized_image, random_prob_vector
 
 
@@ -62,6 +63,13 @@ class TestProbVector:
         assert v.dim == 3 and len(v) == 3
 
 
+def cumsum_majorizes(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
+    n = max(x.size, y.size)
+    cx = np.cumsum(np.concatenate([x, np.zeros(n - x.size)]))
+    cy = np.cumsum(np.concatenate([y, np.zeros(n - y.size)]))
+    return bool(np.all(cx[:-1] <= cy[:-1] + tol))
+
+
 class TestMajorizes:
     def test_uniform_majorized_by_peaked(self):
         assert majorizes(ProbVector([0.5, 0.5]), ProbVector([1.0, 0.0]))
@@ -81,10 +89,35 @@ class TestMajorizes:
     def test_total_is_not_compared(self):
         # the last partial sum is the total, 1 on both sides by normalization;
         # a spectrum whose total rounds one ulp above 1 used to fail at tol 0
-        x = np.array([0.25 + 2.0**-52, 0.25, 0.25, 0.25])
-        assert np.cumsum(x)[-1] > 1.0
-        assert majorized_rows(x, np.array([0.5, 0.5]), tol=0.0)
-        assert not majorized_rows(np.array([0.5 + 2.0**-52, 0.5 - 2.0**-52]), np.array([0.5, 0.5]), tol=0.0)
+        x = ProbVector([0.25 + 2.0**-52, 0.25, 0.25, 0.25])
+        assert np.cumsum(x.entries)[-1] > 1.0
+        assert majorizes(x, ProbVector([0.5, 0.5]), tol=0.0)
+        assert not majorizes(ProbVector([0.5 + 2.0**-52, 0.5 - 2.0**-52]), ProbVector([0.5, 0.5]), tol=0.0)
+
+    def test_verdict_bits_match_a_cumsum_oracle(self):
+        # oracle: np.cumsum over the zero-padded entries, the last sum skipped; the cases include unequal
+        # lengths, x = y, and first partial sums one ulp either side of the bound at tol 0 and the default tol
+        rng = np.random.default_rng(12)
+        seen = set()
+        for _ in range(400):
+            dim = int(rng.integers(2, 65))
+            y = ProbVector(0.5 * rng.dirichlet(np.ones(dim)) + 0.5 / dim)
+            near = []
+            for tol in (0.0, DEFAULT_TOL):
+                top = y.entries[0] + tol
+                for x0 in (np.nextafter(top, 0.0), top, np.nextafter(top, 1.0)):
+                    bumped = y.entries.copy()
+                    bumped[-1] -= x0 - bumped[0]
+                    bumped[0] = x0
+                    near.append(ProbVector(bumped))
+            cases = [(y, y), (ProbVector(y.entries), y), (random_prob_vector(rng, int(rng.integers(1, 65))), y)]
+            cases += [(x, y) for x in near] + [(y, x) for x in near]
+            for x, y_ in cases:
+                for tol in (0.0, DEFAULT_TOL):
+                    expected = cumsum_majorizes(x.entries, y_.entries, tol)
+                    assert majorizes(x, y_, tol) is expected
+                    seen.add(expected)
+        assert seen == {True, False}
 
     def test_reflexivity_random(self):
         rng = np.random.default_rng(7)
@@ -166,6 +199,20 @@ class TestMix:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             mix([])
+
+    def test_entries_match_a_sequential_sum(self):
+        # oracle: each padded entry summed as w * v in member order by a plain loop, then sorted
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            size = int(rng.integers(1, 5))
+            parts = [random_prob_vector(rng, int(rng.integers(1, 65))) for _ in range(size)]
+            weights = rng.dirichlet(np.ones(size)).tolist()
+            expected = [0.0] * max(v.dim for v in parts)
+            for w, v in zip(weights, parts):
+                for i in range(v.dim):
+                    expected[i] = expected[i] + w * float(v.entries[i])
+            got = mix(list(zip(weights, parts))).entries
+            assert got.tobytes() == np.array(sorted(expected, reverse=True)).tobytes()
 
     def test_componentwise_envelope(self):
         # each output component stays between the extremes of the inputs'

@@ -157,15 +157,35 @@ class TestStoredSpectrum:
                 assert np.allclose(lam.entries, rdm_spectrum(state)[: lam.dim], rtol=0.0, atol=1e-12)
         assert calls == [False] * 120
 
-    def test_bound_of_four_members_takes_four_svds(self, monkeypatch):
-        # each of the three measures used to take its own SVD: 12 calls
+    def test_bound_of_four_members_takes_one_svd(self, monkeypatch):
+        # each of the three measures used to take its own SVD: 12 calls, then one per member: 4
         rng = np.random.default_rng(41)
         states = [random_pure_state(rng, 2, 2) for _ in range(4)]
         calls = count_svd_calls(monkeypatch)
         first = distinguishability_bound(Ensemble.equal_priors(states))
-        assert len(calls) == 4
+        assert calls == [False]
         assert distinguishability_bound(Ensemble.equal_priors(states)) == first
-        assert len(calls) == 4
+        assert calls == [False]
+
+    def test_stacked_spectra_match_per_member_svds(self):
+        # oracle: each member's own np.linalg.svd, squared, and the bound over twins whose spectra were
+        # stored one state at a time; some members' spectra are stored before the bound's stacked SVD
+        rng = np.random.default_rng(44)
+        for trial in range(200):
+            size = 1 + trial % 4
+            dim_a, dim_b = rng.integers(1, 5, size=2).tolist()
+            states = [random_pure_state(rng, dim_a, dim_b) for _ in range(size)]
+            for state in states[: trial % 3]:
+                reduced_spectrum(state)
+            stacked = distinguishability_bound(Ensemble.equal_priors(states))
+            twins = [twin(s) for s in states]
+            for state, other in zip(states, twins):
+                squares = np.linalg.svd(other.coefficient_matrix(), compute_uv=False) ** 2
+                assert reduced_spectrum(state).entries.tobytes() == np.sort(squares)[::-1].tobytes()
+                reduced_spectrum(other)
+            one_by_one = distinguishability_bound(Ensemble.equal_priors(twins))
+            for field in ("n_robustness", "n_rel_entropy", "n_geometric"):
+                assert getattr(stacked, field).hex() == getattr(one_by_one, field).hex(), field
 
     def test_results_do_not_depend_on_call_order(self):
         rng = np.random.default_rng(42)
