@@ -171,39 +171,33 @@ def check_which(which) -> tuple[int, ...]:
 class BellFamily:
     """The four-state family a|00>+b|11>, b|00>-a|11>, c|01>+d|10>, d|01>-c|10>.
 
-    Amplitudes are real and canonically ordered (a >= b >= 0, c >= d >= 0),
-    with each pair normalized.
+    Stored as the squared Schmidt parameters a2 = a^2 and c2 = c^2 in [0.5, 1];
+    the amplitudes a, b, c, d (a >= b >= 0, c >= d >= 0) are derived once.
     """
 
-    a: float
-    b: float
-    c: float
-    d: float
+    a2: float
+    c2: float
 
     def __post_init__(self):
-        if not (self.a >= self.b >= 0.0 and self.c >= self.d >= 0.0):
-            raise ValidationError("amplitudes must satisfy a >= b >= 0 and c >= d >= 0")
-        if abs(self.a**2 + self.b**2 - 1.0) > DEFAULT_TOL:
-            raise ValidationError("a^2 + b^2 must equal 1")
-        if abs(self.c**2 + self.d**2 - 1.0) > DEFAULT_TOL:
-            raise ValidationError("c^2 + d^2 must equal 1")
+        for name, value in (("a2", self.a2), ("c2", self.c2)):
+            if not 0.5 <= value <= 1.0:
+                raise ValidationError(f"{name}={value!r} outside [0.5, 1]")
+        for name, value in zip("abcd", (self.a2, 1.0 - self.a2, self.c2, 1.0 - self.c2)):
+            object.__setattr__(self, name, math.sqrt(value))
 
     @classmethod
     def from_squared(cls, a2: float, c2: float) -> "BellFamily":
         """Construct from the squared Schmidt parameters a^2, c^2 in [0.5, 1]."""
-        for name, value in (("a2", a2), ("c2", c2)):
-            if not 0.5 <= value <= 1.0:
-                raise ValidationError(f"{name}={value!r} outside [0.5, 1]")
-        return cls(a=math.sqrt(a2), b=math.sqrt(1.0 - a2), c=math.sqrt(c2), d=math.sqrt(1.0 - c2))
+        return cls(a2, c2)
 
     def states(self) -> list[PureState]:
         """The four mutually orthogonal family members as 2x2 pure states."""
         return [PureState(m, 2, 2) for m in family_matrices(self.a, self.b, self.c, self.d)]
 
     def spectra(self) -> list[ProbVector]:
-        """Reduced spectra of the four members: (a^2, b^2) twice, (c^2, d^2) twice."""
-        first = ProbVector([self.a**2, self.b**2])
-        second = ProbVector([self.c**2, self.d**2])
+        """Reduced spectra of the four members: (a2, 1 - a2) twice, (c2, 1 - c2) twice."""
+        first = ProbVector([self.a2, 1.0 - self.a2])
+        second = ProbVector([self.c2, 1.0 - self.c2])
         return [first, first, second, second]
 
 
@@ -310,9 +304,9 @@ def distinguishability_bound(ensemble: Ensemble) -> DistinguishabilityBound:
     states = ensemble.states
     reduced_spectra(states)
     total_dim = ensemble.dim_a * ensemble.dim_b
-    mean_rob = float(np.mean([1.0 + global_robustness(s) for s in states]))
-    mean_rel = float(np.mean([2.0 ** relative_entropy_ent(s) for s in states]))
-    mean_geo = float(np.mean([2.0 ** geometric_measure(s) for s in states]))
+    mean_rob = sum([1.0 + global_robustness(s) for s in states]) / len(states)
+    mean_rel = sum([2.0 ** relative_entropy_ent(s) for s in states]) / len(states)
+    mean_geo = sum([2.0 ** geometric_measure(s) for s in states]) / len(states)
     return DistinguishabilityBound(
         n_robustness=total_dim / mean_rob,
         n_rel_entropy=total_dim / mean_rel,

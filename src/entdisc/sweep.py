@@ -103,7 +103,7 @@ def _mean_entropy(h_a, h_c, probs: Sequence[float], indices=range(4)):
 
 def avg_entanglement(family: BellFamily, probs: Sequence[float] | None = None) -> float:
     """Probability-weighted mean entanglement entropy of the four members."""
-    return float(_mean_entropy(binary_entropy(family.a**2), binary_entropy(family.c**2), check_family_priors(probs, 4)))
+    return float(_mean_entropy(binary_entropy(family.a2), binary_entropy(family.c2), check_family_priors(probs, 4)))
 
 
 def run_sweep(

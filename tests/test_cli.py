@@ -212,7 +212,7 @@ class TestStdoutPins:
              "a2 = 0.8\nc2 = 0.7\npreserve_cost_ebits = 1.55592182565\n"
              "preserve_spectrum = 0.595, 0.175, 0.175, 0.055\n",
              '{"a2": 0.8, "c2": 0.7, "preserve_cost_ebits": 1.5559218256507088, '
-             '"preserve_spectrum": [0.595, 0.175, 0.175, 0.05500000000000001]}\n'),
+             '"preserve_spectrum": [0.5950000000000001, 0.175, 0.175, 0.05499999999999999]}\n'),
             (["bounds", *A2_C2],
              "n_robustness = 2.15255412687\nn_rel_entropy = 2.29133941694\nn_geometric = 2.98666666667\n",
              '{"n_robustness": 2.1525541268672366, "n_rel_entropy": 2.291339416942349, '

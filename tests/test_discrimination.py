@@ -35,7 +35,7 @@ from entdisc import (
     three_state_feasible,
 )
 from entdisc.cli import load_ensemble_file
-from entdisc.discrimination import family_lambda_max, preserve_cap
+from entdisc.discrimination import alpha2_max_from_lambda, family_lambda_max, preserve_cap
 from helpers import (
     alpha2_max_scan,
     entropy_direct,
@@ -654,9 +654,12 @@ class TestAssistedCost:
         assert seen == {True, False}
 
     def test_first_sum_bound_is_alpha2_max_within_tol_of_half(self):
-        # (a+b+c+d)^2 / 8 lies within DEFAULT_TOL of 1/2 here, so no resource
-        # is needed; the bound used to read 0.9999999999 beside alpha2_max 1
-        report = assisted_alpha2_max(BellFamily(1.0, 1e-10, 1.0, 0.0))
+        # a lambda_1 within DEFAULT_TOL above 1/2 needs no resource; the bound
+        # used to read 0.9999999999 beside alpha2_max 1. No (a2, c2) family
+        # lands there (the smallest b > 0 already gives 1/2 + 5.3e-9), so the
+        # closed form is checked directly, and the family at lambda_1 = 1/2
+        assert alpha2_max_from_lambda(0.5 + 5e-11) == 1.0
+        report = assisted_alpha2_max(BellFamily(1.0, 1.0))
         assert report.first_sum_bound == report.alpha2_max == 1.0
 
     def test_cost_monotone_as_entanglement_grows(self):

@@ -27,7 +27,8 @@ from entdisc import (
 )
 import entdisc.cli
 import entdisc.sweep
-from entdisc.sweep import CSV_CHUNK_ROWS, MAX_GRID_N, format_value
+from entdisc.states import check_family_priors
+from entdisc.sweep import CSV_CHUNK_ROWS, MAX_GRID_N, _mean_entropy, format_value
 from helpers import NullWriter, RecordingWriter, assert_block_writes, fail_on_second_block
 
 
@@ -216,43 +217,32 @@ class TestRunSweep:
         for r in run_sweep("preserve", 7):
             assert 0.0 <= r.preserve_cost_ebits <= 2.0 + 1e-12
 
-    def test_agreement_with_pointwise_operations(self):
-        # the batched grid evaluation must reproduce the per-point operations
-        rng = np.random.default_rng(30)
-        assist = run_sweep("assist", 11)
-        preserve = run_sweep("preserve", 11)
-        feas3 = run_sweep("feasible3", 11)
-        for k in rng.choice(len(assist), 12, replace=False):
-            family = BellFamily.from_squared(assist[k].a2, assist[k].c2)
-            report = assisted_alpha2_max(family)
-            assert assist[k].feasible_unassisted == perfect_discrimination_feasible(family)
-            assert assist[k].alpha2_max == pytest.approx(report.alpha2_max, abs=1e-12)
-            assert assist[k].assist_cost_ebits == pytest.approx(report.cost_ebits, abs=1e-12)
-            assert assist[k].avg_ent_ebits == pytest.approx(avg_entanglement(family), abs=1e-12)
-            assert preserve[k].preserve_cost_ebits == pytest.approx(
-                preserve_cost(family), abs=1e-12
-            )
-            assert feas3[k].feasible_unassisted == three_state_feasible(family)
-
     @pytest.mark.parametrize("seed", range(5))
     def test_rows_equal_per_point_calls_exactly(self, seed):
-        # per-point calls are batches of one through the sweep's kernel, and
-        # both take entropies by the one rule in spectra, so at every lattice
-        # point they give the same verdicts and the same alpha2_max and
-        # assisted cost bit for bit, for any priors and subset
+        # per-point calls are batches of one through the sweep's kernel, both
+        # take entropies by the one rule in spectra, and a family holds the
+        # axis values a2 and c2 themselves, so at every lattice point they
+        # give the same verdicts, alpha2_max, assisted cost, mean entanglement
+        # and preserving cost bit for bit, for any priors and subset
         rng = np.random.default_rng(seed)
         probs4 = None if seed == 0 else rng.dirichlet(np.ones(4)).tolist()
         probs3 = None if seed == 0 else rng.dirichlet(np.ones(3)).tolist()
         which = tuple(int(i) for i in rng.permutation(4)[:3])
+        weights3 = check_family_priors(probs3, 3)
         assist = run_sweep("assist", 21, probs=probs4)
+        preserve = run_sweep("preserve", 21, probs=probs4)
         feas3 = run_sweep("feasible3", 21, probs=probs3, which=which)
-        for row, row3 in zip(assist, feas3):
+        for row, row_p, row3 in zip(assist, preserve, feas3):
             family = BellFamily.from_squared(row.a2, row.c2)
             assert row.feasible_unassisted == perfect_discrimination_feasible(family, probs4)
             report = assisted_alpha2_max(family)
             assert row.alpha2_max.hex() == report.alpha2_max.hex()
             assert row.assist_cost_ebits.hex() == report.cost_ebits.hex()
+            assert row.avg_ent_ebits.hex() == avg_entanglement(family, probs4).hex()
+            assert row_p.preserve_cost_ebits.hex() == preserve_cost(family, probs4).hex()
             assert row3.feasible_unassisted == three_state_feasible(family, which, probs3)
+            h_a, h_c = binary_entropy(family.a2), binary_entropy(family.c2)
+            assert row3.avg_ent_ebits.hex() == _mean_entropy(h_a, h_c, weights3, which).hex()
 
     def test_preserve_costs_nonnegative_for_rounded_priors(self):
         # priors summing to 1 only within rounding used to give -1e-16 at (1, 1)
