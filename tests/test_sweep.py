@@ -217,6 +217,24 @@ class TestRunSweep:
         for r in run_sweep("preserve", 7):
             assert 0.0 <= r.preserve_cost_ebits <= 2.0 + 1e-12
 
+    def test_agreement_with_pointwise_operations(self):
+        # the batched grid evaluation must reproduce the per-point operations
+        rng = np.random.default_rng(30)
+        assist = run_sweep("assist", 11)
+        preserve = run_sweep("preserve", 11)
+        feas3 = run_sweep("feasible3", 11)
+        for k in rng.choice(len(assist), 12, replace=False):
+            family = BellFamily.from_squared(assist[k].a2, assist[k].c2)
+            report = assisted_alpha2_max(family)
+            assert assist[k].feasible_unassisted == perfect_discrimination_feasible(family)
+            assert assist[k].alpha2_max == pytest.approx(report.alpha2_max, abs=1e-12)
+            assert assist[k].assist_cost_ebits == pytest.approx(report.cost_ebits, abs=1e-12)
+            assert assist[k].avg_ent_ebits == pytest.approx(avg_entanglement(family), abs=1e-12)
+            assert preserve[k].preserve_cost_ebits == pytest.approx(
+                preserve_cost(family), abs=1e-12
+            )
+            assert feas3[k].feasible_unassisted == three_state_feasible(family)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_rows_equal_per_point_calls_exactly(self, seed):
         # per-point calls are batches of one through the sweep's kernel, both
