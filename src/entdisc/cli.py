@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import warnings
@@ -145,17 +144,9 @@ def _json_floats(values: list, what: str) -> list[float]:
         raise ValidationError(f"{what} must be JSON numbers within float range") from None
 
 
-def _jsonable(value):
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _emit(result: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps({k: _jsonable(v) for k, v in result.items()}))
+        print(json.dumps(result, allow_nan=False))
     else:
         for key, value in result.items():
             values = value if isinstance(value, (list, tuple)) else [value]

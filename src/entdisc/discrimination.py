@@ -47,7 +47,6 @@ __all__ = [
     "closed_form_lhs",
     "conjugation_probe",
     "ensemble_discrimination_feasible",
-    "locc_deterministic_feasible",
     "locc_ensemble_feasible",
     "partial_inner_product",
     "perfect_discrimination_feasible",
@@ -90,13 +89,6 @@ def pointer_state(ensemble: Ensemble, pointers: Sequence[PureState]) -> PureStat
     return PureState.from_matrix(matrix if abs(norm2 - 1.0) <= DEFAULT_TOL else matrix / np.sqrt(norm2))
 
 
-def locc_deterministic_feasible(
-    source: ProbVector, target: ProbVector, tol: float = DEFAULT_TOL
-) -> bool:
-    """Deterministic LOCC convertibility: the source spectrum must be majorized by the target's."""
-    return majorizes(source, target, tol)
-
-
 def locc_ensemble_feasible(
     source: ProbVector,
     targets: Sequence[tuple[float, ProbVector]],
@@ -127,15 +119,15 @@ def ensemble_discrimination_feasible(ensemble: Ensemble, tol: float = DEFAULT_TO
     pointer state's top eigenvalue with ``pointer_feasible``. That eigenvalue
     comes from ``eigvalsh`` of M M^dagger, not from the singular values of M,
     but where lambda_1 is exactly 1/2 either can round it above 1/2 and flip
-    the verdict at tol = 0: one member or an orthogonal pair is clamped at 1/2.
+    the verdict at tol = 0: one member or an orthogonal pair with prior > 0 is clamped at 1/2.
     """
     pointers = bell_states()
     if len(ensemble.members) > len(pointers):
         raise ValidationError("at most 4 ensemble members are supported")
     m = pointer_state(ensemble, pointers[: len(ensemble.members)]).coefficient_matrix()
-    lam, states = np.linalg.eigvalsh(m @ m.conj().T)[-1], ensemble.states
+    lam, weighted = np.linalg.eigvalsh(m @ m.conj().T)[-1], [s for p, s in ensemble.members if p > 0.0]
     # lambda_1 <= 1/2 for one member and <= (1 + |<psi_0|psi_1>|) / 2 for two: orthogonal pairs must not round past 1/2.
-    capped = len(states) == 1 or len(states) == 2 and abs(states[0].overlap(states[1])) <= DEFAULT_TOL
+    capped = len(weighted) == 1 or len(weighted) == 2 and abs(weighted[0].overlap(weighted[1])) <= DEFAULT_TOL
     return bool(pointer_feasible(min(lam, 0.5) if capped else lam, tol))
 
 
@@ -158,7 +150,7 @@ def _order_class(order: tuple[int, ...]) -> tuple:
 
 
 def family_lambda_max(a, b, c, d, probs: list[float], order: tuple[int, ...] = (0, 1, 2, 3)):
-    """Top eigenvalue of the family's Bell-pointer state, clamped at 1 (1/2 in the W class), elementwise over arrays.
+    """Top eigenvalue of the family's Bell-pointer state, clamped at 1 (1/2 in the W class or for a pair), elementwise.
 
     ``order[j]`` is the member on Bell pointer j and ``probs[j]`` its prior; a zero prior drops a member, so a
     three-member order gets the missing member on pointer 3 at prior 0. Relabelling (a, b) as (b, -a), or (c, d)
@@ -172,8 +164,8 @@ def family_lambda_max(a, b, c, d, probs: list[float], order: tuple[int, ...] = (
     doubled, so the unit trace caps lambda_1 at 1/2, and the 2x2 Hermitian formula gives it from the block's
     diagonal gap and off-diagonal entry (pointers taken as i, k, l, j).
     Equal priors in the natural order give (a + b + c + d)^2 / 8, summed in that order; at a = b = c = d it rounds
-    to 1.0000000000000002, hence the clamp. The W class is clamped at its cap of 1/2: where two members share the
-    priors, its formula, like a dense eigensolve, can round past the cap by an ulp, and an orthogonal pair must pass.
+    to 1.0000000000000002, hence the clamp. The W class and any order with at most two nonzero priors (a pair) are
+    clamped at their cap of 1/2, which their formulas, like a dense eigensolve, can round past by an ulp.
     A call on one point's floats gives the array call's element bit for bit: squares are products, as numpy squares
     arrays, since a scalar's ** 2 calls C pow, which misses x * x by an ulp for about 1 in 1000 x. Each order's class
     (``_order_class``) is worked out once, and the priors' roots are taken by ``math.sqrt`` (both correctly rounded).
@@ -194,7 +186,7 @@ def family_lambda_max(a, b, c, d, probs: list[float], order: tuple[int, ...] = (
     b03, b12 = (np.hypot((s[i] + t) * (a + b), (s[k] - u) * (c - d)) + np.hypot((s[i] - t) * (a - b), (s[k] + u) * (c + d))
                 for t, u in ((s[j], s_l), (-s[j], -s_l)))
     top = np.maximum(b03, b12)
-    return np.minimum(top * top / 8.0, 1.0)
+    return np.minimum(top * top / 8.0, 0.5 if probs.count(0.0) >= len(probs) - 2 else 1.0)
 
 
 def closed_form_lhs(family: BellFamily, probs: Sequence[float] | None = None) -> float:

@@ -149,10 +149,9 @@ def mix(weighted: Iterable[tuple[float, ProbVector]]) -> ProbVector:
     """
     pairs = list(weighted)
     weights = check_probabilities([p for p, _ in pairs]).tolist()
-    out = [0.0] * max(v.dim for _, v in pairs)
-    # One w * v product and one sum per entry, in member order, so the bits match an array's out += w * v.
+    out = np.zeros(max(v.dim for _, v in pairs))
     for w, (_, v) in zip(weights, pairs):
-        out[: v.dim] = [total + w * entry for total, entry in zip(out, v.entries.tolist())]
+        out[: v.dim] += w * v.entries
     return ProbVector(out)
 
 

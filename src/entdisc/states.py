@@ -21,7 +21,6 @@ __all__ = [
     "Ensemble",
     "PureState",
     "SchmidtDecomposition",
-    "bell_family",
     "bell_states",
     "distinguishability_bound",
     "entanglement_entropy",
@@ -199,11 +198,6 @@ class BellFamily:
         first = ProbVector([self.a2, 1.0 - self.a2])
         second = ProbVector([self.c2, 1.0 - self.c2])
         return [first, first, second, second]
-
-
-def bell_family(a2: float, c2: float) -> list[PureState]:
-    """The four family members for squared Schmidt parameters (a2, c2)."""
-    return BellFamily.from_squared(a2, c2).states()
 
 
 def bell_states() -> list[PureState]:

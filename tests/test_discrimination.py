@@ -21,7 +21,6 @@ from entdisc import (
     ensemble_discrimination_feasible,
     entanglement_entropy,
     entropy_bits,
-    locc_deterministic_feasible,
     locc_ensemble_feasible,
     majorizes,
     mix,
@@ -154,13 +153,13 @@ class TestPointerState:
 
 class TestLoccFeasibility:
     def test_bell_to_product(self):
-        assert locc_deterministic_feasible(ProbVector([0.5, 0.5]), ProbVector([1.0, 0.0]))
+        assert majorizes(ProbVector([0.5, 0.5]), ProbVector([1.0, 0.0]))
 
     def test_entanglement_cannot_be_created(self):
-        assert not locc_deterministic_feasible(ProbVector([1.0, 0.0]), ProbVector([0.5, 0.5]))
+        assert not majorizes(ProbVector([1.0, 0.0]), ProbVector([0.5, 0.5]))
 
     def test_partial_sum_arithmetic(self):
-        assert locc_deterministic_feasible(ProbVector([0.6, 0.4]), ProbVector([0.7, 0.3]))
+        assert majorizes(ProbVector([0.6, 0.4]), ProbVector([0.7, 0.3]))
 
     def test_ensemble_mix_arithmetic(self):
         targets = [(0.5, ProbVector([1.0, 0.0])), (0.5, ProbVector([0.5, 0.5]))]
@@ -191,6 +190,8 @@ class TestPerfectDiscrimination:
     def test_rejects_wrong_prob_count(self):
         with pytest.raises(ValidationError):
             perfect_discrimination_feasible(BellFamily.from_squared(0.9, 0.9), probs=[0.5, 0.5])
+        with pytest.raises(ValidationError, match="^expected a list of 4 probabilities, got 5$"):
+            perfect_discrimination_feasible(BellFamily.from_squared(0.9, 0.9), 5)
 
 
 def object_route(ensemble: Ensemble):
@@ -307,11 +308,30 @@ class TestEnsembleDiscrimination:
             assert loop_lambda_max(members, [0.5, 0.5]) > 0.5
             assert not ensemble_discrimination_feasible(Ensemble.equal_priors([phi_plus, second]), 0.0)
 
+    def test_family_pairs_pass_at_zero_tolerance_on_both_routes(self):
+        # any two orthogonal states are LOCC-distinguishable (Walgate et al., PRL 85, 4972 (2000)), so every verdict
+        # here is true; members at prior 0 must not lift the cap. At the Bell corner with priors 1/2, 1/2 the dense
+        # eigensolve and the closed form both rounded lambda_1 to 0.5000000000000001
+        axis = np.linspace(0.5, 1.0, 11).tolist()
+        for a2, c2 in itertools.product(axis, axis):
+            family = BellFamily(a2, c2)
+            for p in (1.0, 0.5, 0.3, 0.01):
+                for i, j in itertools.combinations(range(4), 2):
+                    probs = [0.0] * 4
+                    probs[i], probs[j] = p, 1.0 - p
+                    assert perfect_discrimination_feasible(family, probs, 0.0), (a2, c2, probs)
+                    ensemble = Ensemble(tuple(zip(probs, family.states())))
+                    assert ensemble_discrimination_feasible(ensemble, 0.0), (a2, c2, probs)
+                for which in itertools.permutations(range(4), 3):
+                    for zero in range(3):
+                        probs = [p, 1.0 - p]
+                        probs.insert(zero, 0.0)
+                        assert three_state_feasible(family, which, probs, 0.0), (a2, c2, which, probs)
+
 
 HALF, PURE = ProbVector([0.5, 0.5]), ProbVector([1.0, 0.0])
 VERDICTS = {
     "majorizes": lambda tol: majorizes(HALF, PURE, tol),
-    "locc_deterministic_feasible": lambda tol: locc_deterministic_feasible(HALF, PURE, tol),
     "locc_ensemble_feasible": lambda tol: locc_ensemble_feasible(HALF, [(1.0, PURE)], tol),
     "ensemble_discrimination_feasible": lambda tol: ensemble_discrimination_feasible(
         Ensemble.equal_priors(bell_states()[:2]), tol
@@ -793,6 +813,14 @@ class TestPartialInnerProduct:
         bra = random_pure_state(np.random.default_rng(23), 2, 3)
         with pytest.raises(ValidationError):
             partial_inner_product(bra, probe)
+
+    def test_asymmetric_joint_needs_dims_out(self):
+        bra = random_pure_state(np.random.default_rng(25), 2, 2)
+        joint = random_pure_state(np.random.default_rng(26), 4, 2)
+        with pytest.raises(ValidationError, match="^residual split is ambiguous for asymmetric joints; pass dims_out$"):
+            partial_inner_product(bra, joint)
+        result = partial_inner_product(bra, joint, dims_out=(2, 1))
+        assert (result.state.dim_a, result.state.dim_b) == (2, 1)
 
     def test_dims_out_must_factor_residual(self):
         probe = conjugation_probe(2, 2)

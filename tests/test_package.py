@@ -26,7 +26,6 @@ PUBLIC_NAMES = [
     "ValidationError",
     "assisted_alpha2_max",
     "avg_entanglement",
-    "bell_family",
     "bell_states",
     "binary_entropy",
     "closed_form_lhs",
@@ -37,7 +36,6 @@ PUBLIC_NAMES = [
     "entropy_bits",
     "geometric_measure",
     "global_robustness",
-    "locc_deterministic_feasible",
     "locc_ensemble_feasible",
     "majorizes",
     "mix",

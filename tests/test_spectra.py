@@ -38,6 +38,10 @@ class TestProbVector:
         with pytest.raises(ValidationError, match="must be numbers"):
             check_probabilities(["x"])
 
+    def test_rejects_nested_lists(self):
+        with pytest.raises(ValidationError, match="^probabilities must be a flat list of numbers$"):
+            ProbVector([[0.5], [0.5]])
+
     def test_rejects_bad_sum(self):
         with pytest.raises(ValidationError):
             ProbVector([0.5, 0.4])

@@ -8,7 +8,6 @@ from entdisc import (
     Ensemble,
     PureState,
     ValidationError,
-    bell_family,
     bell_states,
     distinguishability_bound,
     entanglement_entropy,
@@ -226,12 +225,12 @@ class TestBellFamily:
                 build(a2, c2)
 
     def test_maximally_entangled_case_gives_bell_states(self):
-        family = bell_family(0.5, 0.5)
+        family = BellFamily(0.5, 0.5).states()
         for got, want in zip(family, bell_states()):
             assert np.allclose(got.amplitudes, want.amplitudes)
 
     def test_product_case(self):
-        family = bell_family(1.0, 1.0)
+        family = BellFamily(1.0, 1.0).states()
         expected = [
             [1.0, 0.0, 0.0, 0.0],   # |00>
             [0.0, 0.0, 0.0, -1.0],  # -|11>
@@ -260,7 +259,7 @@ class TestBellFamily:
 
     def test_pairwise_orthogonality(self):
         for a2, c2 in [(0.5, 0.5), (0.7, 0.9), (1.0, 0.6), (0.93, 1.0)]:
-            family = bell_family(a2, c2)
+            family = BellFamily(a2, c2).states()
             for i in range(4):
                 for j in range(i + 1, 4):
                     assert abs(family[i].overlap(family[j])) < 1e-12
@@ -268,7 +267,7 @@ class TestBellFamily:
     def test_domain_validation(self):
         for a2, c2 in [(0.4, 0.6), (0.6, 1.1), (-0.1, 0.7)]:
             with pytest.raises(ValidationError):
-                bell_family(a2, c2)
+                BellFamily(a2, c2).states()
 
     def test_member_spectra(self):
         fam = BellFamily.from_squared(0.8, 0.65)
@@ -384,7 +383,7 @@ class TestDistinguishabilityBound:
         assert bound.n_geometric == pytest.approx(2.0, abs=1e-9)
 
     def test_four_product_states(self):
-        bound = distinguishability_bound(Ensemble.equal_priors(bell_family(1.0, 1.0)))
+        bound = distinguishability_bound(Ensemble.equal_priors(BellFamily(1.0, 1.0).states()))
         assert bound.n_robustness == pytest.approx(4.0, abs=1e-9)
         assert bound.n_rel_entropy == pytest.approx(4.0, abs=1e-9)
         assert bound.n_geometric == pytest.approx(4.0, abs=1e-9)
