@@ -24,6 +24,7 @@ from .errors import ValidationError
 from .spectra import (
     DEFAULT_TOL,
     ProbVector,
+    _is_index,
     binary_entropy,
     check_tol,
     entropy_bits,
@@ -340,6 +341,8 @@ def conjugation_probe(dim_a: int = 2, dim_b: int = 2) -> PureState:
     contracting against this probe yields psi's complex conjugate with norm
     1/sqrt(dim_a * dim_b).
     """
+    if not (_is_index(dim_a) and _is_index(dim_b) and dim_a >= 1 and dim_b >= 1):
+        raise ValidationError(f"local dimensions must be positive integers, got {dim_a!r} and {dim_b!r}")
     u = np.eye(dim_a) / np.sqrt(dim_a)
     v = np.eye(dim_b) / np.sqrt(dim_b)
     coeffs = np.einsum("ij,kl->ikjl", u, v).reshape(dim_a * dim_b, dim_a * dim_b)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spectra import DEFAULT_TOL, ProbVector, _is_index, check_probabilities, entropy_bits
+from .spectra import DEFAULT_TOL, ProbVector, _is_index, check_probabilities, entropy_bits, entropy_terms
 
 __all__ = [
     "BellFamily",
@@ -155,12 +155,15 @@ def check_family_priors(probs, count: int) -> list[float]:
         raise ValidationError(f"expected a list of {count} probabilities, got {probs!r}") from None
     if given != count:
         raise ValidationError(f"expected {count} probabilities, got {given}")
-    return check_probabilities(probs).tolist()
+    return check_probabilities(probs)
 
 
 def check_which(which) -> tuple[int, ...]:
     """Validate a three-member subset of the family as distinct indices in 0..3."""
-    which = tuple(which)
+    try:
+        which = tuple(which)
+    except TypeError:
+        raise ValidationError(f"which={which!r} must be three distinct indices in 0..3") from None
     if len(which) != 3 or not all(_is_index(i) and 0 <= i < 4 for i in which) or len(set(which)) != 3:
         raise ValidationError(f"which={which!r} must be three distinct indices in 0..3")
     return tuple(map(int, which))
@@ -178,11 +181,14 @@ class BellFamily:
     c2: float
 
     def __post_init__(self):
-        for name, value in (("a2", self.a2), ("c2", self.c2)):
-            if not 0.5 <= value <= 1.0:
-                raise ValidationError(f"{name}={value!r} outside [0.5, 1]")
-        for name, value in zip("abcd", (self.a2, 1.0 - self.a2, self.c2, 1.0 - self.c2)):
-            object.__setattr__(self, name, math.sqrt(value))
+        try:
+            for name, value in (("a2", self.a2), ("c2", self.c2)):
+                if not 0.5 <= value <= 1.0:
+                    raise ValidationError(f"{name}={value!r} outside [0.5, 1]")
+            for name, value in zip("abcd", (self.a2, 1.0 - self.a2, self.c2, 1.0 - self.c2)):
+                object.__setattr__(self, name, math.sqrt(value))
+        except TypeError:
+            raise ValidationError(f"a2={self.a2!r} and c2={self.c2!r} must be numbers") from None
 
     @classmethod
     def from_squared(cls, a2: float, c2: float) -> "BellFamily":
@@ -223,7 +229,7 @@ class Ensemble:
         for i, member in enumerate(members):
             if not (isinstance(member, (tuple, list)) and len(member) == 2 and isinstance(member[1], PureState)):
                 raise ValidationError(f"ensemble member {i} must be a (probability, PureState) pair")
-        probs = check_probabilities([p for p, _ in members]).tolist()
+        probs = check_probabilities([p for p, _ in members])
         states = [s for _, s in members]
         if len({(s.dim_a, s.dim_b) for s in states}) != 1:
             raise ValidationError("all ensemble states must share the same local dimensions")
@@ -256,26 +262,35 @@ def entanglement_entropy(state: PureState) -> float:
     return entropy_bits(reduced_spectrum(state))
 
 
+def _measure_rows(lam: np.ndarray) -> tuple[list[float], list[float], list[float]]:
+    """Robustness, entropy in bits and geometric measure of each row of a (members x d) descending spectrum array.
+
+    Trailing zeros add nothing below 8 entries, where numpy adds in order; from 8 up each row sums only its positive
+    terms, as ``entropy_bits`` does. Sums are squared as Python floats (C pow); an array's ** 2 can be an ulp off.
+    """
+    terms = entropy_terms(lam)
+    ent = terms.sum(axis=1).tolist() if lam.shape[1] < 8 else [float(t[row > 0.0].sum()) for t, row in zip(terms, lam)]
+    rob = [max(v**2 - 1.0, 0.0) + 0.0 for v in np.sqrt(lam).sum(axis=1).tolist()]
+    return rob, [max(v, 0.0) for v in ent], [max(-v, 0.0) + 0.0 for v in np.log2(lam[:, 0]).tolist()]
+
+
 def global_robustness(state: PureState) -> float:
     """Global robustness of entanglement, (sum_i sqrt(lambda_i))^2 - 1.
 
     The closed form holds for bipartite pure states; it vanishes exactly on
     product states.
     """
-    lam = reduced_spectrum(state).entries
-    value = float(np.sqrt(lam).sum() ** 2 - 1.0)
-    return max(value, 0.0) + 0.0
+    return _measure_rows(reduced_spectrum(state).entries[None])[0][0]
 
 
 def relative_entropy_ent(state: PureState) -> float:
     """Relative entropy of entanglement; equals the entanglement entropy for pure states."""
-    return entanglement_entropy(state)
+    return _measure_rows(reduced_spectrum(state).entries[None])[1][0]
 
 
 def geometric_measure(state: PureState) -> float:
     """Geometric measure of entanglement, -log2 of the largest Schmidt probability."""
-    lam = reduced_spectrum(state).entries
-    return max(float(-np.log2(lam[0])), 0.0) + 0.0
+    return _measure_rows(reduced_spectrum(state).entries[None])[2][0]
 
 
 @dataclass(frozen=True)
@@ -295,14 +310,6 @@ def distinguishability_bound(ensemble: Ensemble) -> DistinguishabilityBound:
     entropy), and 2^(geometric measure). The three results are reported
     side by side; the robustness bound is always the tightest.
     """
-    states = ensemble.states
-    reduced_spectra(states)
-    total_dim = ensemble.dim_a * ensemble.dim_b
-    mean_rob = sum([1.0 + global_robustness(s) for s in states]) / len(states)
-    mean_rel = sum([2.0 ** relative_entropy_ent(s) for s in states]) / len(states)
-    mean_geo = sum([2.0 ** geometric_measure(s) for s in states]) / len(states)
-    return DistinguishabilityBound(
-        n_robustness=total_dim / mean_rob,
-        n_rel_entropy=total_dim / mean_rel,
-        n_geometric=total_dim / mean_geo,
-    )
+    rob, ent, geo = _measure_rows(np.array([v.entries for v in reduced_spectra(ensemble.states)]))
+    weights = ([1.0 + v for v in rob], [2.0**v for v in ent], [2.0**v for v in geo])
+    return DistinguishabilityBound(*(ensemble.dim_a * ensemble.dim_b / (sum(w) / len(w)) for w in weights))

@@ -573,6 +573,10 @@ class TestThreeState:
         with pytest.raises(ValidationError):
             three_state_feasible(BellFamily.from_squared(0.9, 0.9), probs=[0.25] * 4)
 
+    def test_rejects_a_which_that_is_not_a_sequence(self):
+        with pytest.raises(ValidationError, match=r"^which=5 must be three distinct indices in 0\.\.3$"):
+            three_state_feasible(BellFamily.from_squared(0.9, 0.9), 5)
+
 
 class TestAssistedCost:
     def test_bell_corner_costs_one_ebit(self):
@@ -769,6 +773,11 @@ class TestPreserve:
 
 
 class TestPartialInnerProduct:
+    @pytest.mark.parametrize("dims", [(True, 2), (2.5, 2), (0, 2), (2, -1), (2, "3")])
+    def test_probe_rejects_bad_dimensions(self, dims):
+        with pytest.raises(ValidationError, match="^local dimensions must be positive integers, got "):
+            conjugation_probe(*dims)
+
     def test_probe_returns_conjugate_at_half_norm(self):
         probe = conjugation_probe()
         family = BellFamily.from_squared(0.77, 0.61).states()

@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,84 @@ class TestProbVector:
     def test_dim_and_len(self):
         v = ProbVector([0.2, 0.3, 0.5])
         assert v.dim == 3 and len(v) == 3
+
+
+def array_route(values):
+    """Reference checks on numpy arrays: np.asarray, np.clip, ndarray.sum(), then np.sort(kind="stable")[::-1].
+
+    Returns (checked entries in the given order, sorted entries) or the reason for rejecting, for finite flat input.
+    """
+    arr = np.asarray(values, dtype=float)
+    low, high = float(arr.min()), float(arr.max())
+    if low < 0.0:
+        if low < -DEFAULT_TOL:
+            return f"probability {low:.3e} is negative beyond tolerance {DEFAULT_TOL:.0e}"
+        arr = np.clip(arr, 0.0, None)
+    if high > 1.0 + DEFAULT_TOL:
+        return f"probability {high!r} exceeds 1 beyond tolerance {DEFAULT_TOL:.0e}"
+    total = float(arr.sum())
+    if not abs(total - 1.0) <= DEFAULT_TOL:
+        return f"probabilities sum to {total!r}, expected 1 within {DEFAULT_TOL:.0e}"
+    return arr, np.sort(arr, kind="stable")[::-1]
+
+
+def oracle_inputs(seed=29):
+    """Seeded probability lists of length 1-64: ties, signed zeros, negatives near -DEFAULT_TOL, totals at 1 +- DEFAULT_TOL."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, 65):
+        base = rng.dirichlet(np.ones(n))
+        tied = rng.integers(1, 4, n).astype(float)
+        tied /= tied.sum()
+        cases = [base, tied, np.round(base, 2)]
+        for k in range(4):
+            v = base.copy()
+            zeros = rng.choice(n, size=min(n - 1, 1 + k), replace=False)
+            v[zeros] = 0.0
+            v /= v.sum()
+            signed = v.copy()
+            signed[zeros[: 1 + k // 2]] = -0.0
+            cases.append(signed)
+            if n > 2 and k:
+                # A negative beside the -0.0 entries: within tolerance for k < 3, beyond it for k = 3.
+                noisy = signed.copy()
+                noisy[zeros[-1]] = -DEFAULT_TOL * (2.0 if k == 3 else rng.uniform(0.0, 1.0))
+                cases.append(noisy)
+        # A clamped negative moves the total by half the tolerance, so the sum must be taken after the clamp.
+        negative = np.concatenate([[-0.5 * DEFAULT_TOL], base[1:]]) if n > 1 else base
+        for start in (base, negative):
+            for edge in (1.0 - DEFAULT_TOL, 1.0 + DEFAULT_TOL):
+                for ulps in range(-3, 4):
+                    v = start.copy()
+                    v[-1] += edge - v.sum()
+                    v[-1] += ulps * np.spacing(1.0)
+                    cases.append(v)
+        for v in cases:
+            yield v
+            yield v.tolist()
+
+
+class TestArrayRouteOracle:
+    """check_probabilities and ProbVector check Python floats; every byte and message must be the array route's."""
+
+    def test_same_bytes_verdicts_and_messages(self):
+        outcomes = {"accepted": 0, "rejected": 0, "signed_zero": 0}
+        for values in oracle_inputs():
+            expected = array_route(values)
+            if isinstance(expected, str):
+                outcomes["rejected"] += 1
+                for check in (check_probabilities, ProbVector):
+                    with pytest.raises(ValidationError) as info:
+                        check(values)
+                    assert str(info.value) == expected
+                continue
+            outcomes["accepted"] += 1
+            outcomes["signed_zero"] += bool(np.signbit(expected[1]).any())
+            checked = check_probabilities(values)
+            assert type(checked) is list and all(type(v) is float for v in checked)
+            assert np.array(checked).tobytes() == expected[0].tobytes()
+            entries = ProbVector(values).entries
+            assert entries.tobytes() == expected[1].tobytes() and not entries.flags.writeable
+        assert min(outcomes.values()) > 0, outcomes
 
 
 def cumsum_majorizes(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
@@ -272,6 +352,11 @@ class TestEntropy:
                 binary_entropy(bad)
         assert binary_entropy(-5e-10) == 0.0
         assert binary_entropy(1.0 + 5e-10) == 0.0
+
+    @pytest.mark.parametrize("bad", ["0.5", None, Decimal("0.5")])
+    def test_binary_entropy_rejects_non_numbers(self, bad):
+        with pytest.raises(ValidationError, match=r"^binary entropy argument .* is not a number$"):
+            binary_entropy(bad)
 
 
 class TestPad:
