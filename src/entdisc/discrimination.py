@@ -68,10 +68,9 @@ def pointer_state(ensemble: Ensemble, pointers: Sequence[PureState]) -> PureStat
     outer), B and D on the other. Orthonormal pointers make the result
     normalized for any ensemble.
     """
-    if len(pointers) != len(ensemble.members):
-        raise ValidationError(
-            f"need one pointer per member, got {len(pointers)} for {len(ensemble.members)}"
-        )
+    members = ensemble.members
+    if len(pointers) != len(members):
+        raise ValidationError(f"need one pointer per member, got {len(pointers)} for {len(members)}")
     dims = {(p.dim_a, p.dim_b) for p in pointers}
     if len(dims) != 1:
         raise ValidationError("all pointers must share the same local dimensions")
@@ -80,14 +79,17 @@ def pointer_state(ensemble: Ensemble, pointers: Sequence[PureState]) -> PureStat
             if abs(pointers[i].overlap(pointers[j])) > DEFAULT_TOL:
                 raise ValidationError(f"pointers {i} and {j} are not orthogonal")
     # Axes (member, a, c, b, d), summed over members in order; the AC and BD pairs are adjacent, so the reshape is a view.
-    psi = np.array([s.amplitudes for s in ensemble.states]).reshape(-1, ensemble.dim_a, 1, ensemble.dim_b, 1)
+    state = members[0][1]
+    psi = np.array([s.amplitudes for _, s in members]).reshape(-1, state.dim_a, 1, state.dim_b, 1)
     phi = np.array([p.amplitudes for p in pointers]).reshape(-1, 1, pointers[0].dim_a, 1, pointers[0].dim_b)
-    composite = (psi * phi * np.sqrt(ensemble.probs).reshape(-1, 1, 1, 1, 1)).sum(axis=0)
+    roots = np.array([math.sqrt(p) for p, _ in members]).reshape(-1, 1, 1, 1, 1)
+    composite = (psi * phi * roots).sum(axis=0)
     dim_a, dim_c, dim_b, dim_d = composite.shape
     matrix = composite.reshape(dim_a * dim_c, dim_b * dim_d)
     # The members', priors' and pointers' own tolerances can add up past DEFAULT_TOL: renormalize only then.
     norm2 = np.vdot(matrix, matrix).real
-    return PureState.from_matrix(matrix if abs(norm2 - 1.0) <= DEFAULT_TOL else matrix / np.sqrt(norm2))
+    matrix = matrix if abs(norm2 - 1.0) <= DEFAULT_TOL else matrix / np.sqrt(norm2)
+    return PureState._derived(matrix, dim_a * dim_c, dim_b * dim_d)
 
 
 def locc_ensemble_feasible(
@@ -273,7 +275,8 @@ def preserve_spectrum(family: BellFamily, probs: Sequence[float] | None = None) 
     the identified state must have a spectrum majorized by this vector.
     """
     first, second = (tensor(s, s).entries for s in family.spectra()[::2])
-    return ProbVector(preserve_cap(first, second, check_family_priors(probs, 4)))
+    # A nonnegative mixture of two descending vectors is descending.
+    return ProbVector._derived(preserve_cap(first, second, check_family_priors(probs, 4)))
 
 
 def preserve_cost(family: BellFamily, probs: Sequence[float] | None = None) -> float:

@@ -33,6 +33,9 @@ __all__ = [
 # O(1), so double precision leaves ample headroom.
 DEFAULT_TOL = 1e-9
 
+# Booleans are numbers to Python and numpy; where the package means a real value it refuses both types.
+_BOOL_TYPES = (bool, np.bool_)
+
 
 def _is_index(value) -> bool:
     """An integer that is not a bool: the one rule for dimensions, sizes and member indices."""
@@ -92,8 +95,8 @@ def _checked(values) -> tuple[list[float], np.ndarray]:
 class ProbVector:
     """A probability vector stored in canonical non-increasing order.
 
-    Entries are clamped/validated and sorted once at construction so that
-    partial-sum comparisons never have to re-sort. Instances are immutable.
+    The constructor clamps, validates and sorts the entries once, so partial-sum comparisons never have to re-sort;
+    ``_derived`` wraps values derived from checked objects, checking only their total. Instances are immutable.
     """
 
     entries: np.ndarray
@@ -104,6 +107,17 @@ class ProbVector:
         arr = np.array(sorted(entries)[::-1]) if len(entries) < 16 else np.sort(arr, kind="stable")[::-1].copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
+
+    @classmethod
+    def _derived(cls, arr: np.ndarray) -> "ProbVector":
+        """Wrap a new float array, nonnegative and descending by construction; checks its total as ``_checked`` does."""
+        total = sum(arr.tolist()) if arr.size < 8 else float(arr.sum())
+        if not abs(total - 1.0) <= DEFAULT_TOL:
+            _checked(arr)  # raises, with the public constructor's message
+        arr.setflags(write=False)
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "entries", arr)
+        return vec
 
     @property
     def dim(self) -> int:
@@ -156,14 +170,21 @@ def mix(weighted: Iterable[tuple[float, ProbVector]]) -> ProbVector:
 
     Each input vector is already in descending order (the ProbVector
     invariant); all are zero-padded to the largest dimension and averaged
-    component-wise with the given weights.
+    component-wise with the given weights, so the average is descending too.
+    Entries add in member order: on Python floats below 8 entries, as arrays from 8 up (the faster there).
     """
     pairs = list(weighted)
     weights = check_probabilities([p for p, _ in pairs])
-    out = np.zeros(max(v.dim for _, v in pairs))
+    dim = max(v.dim for _, v in pairs)
+    if dim < 8:
+        out = [0.0] * dim
+        for w, (_, v) in zip(weights, pairs):
+            out[: v.dim] = [t + w * x for t, x in zip(out, v.entries.tolist())]
+        return ProbVector._derived(np.array(out))
+    out = np.zeros(dim)
     for w, (_, v) in zip(weights, pairs):
         out[: v.dim] += w * v.entries
-    return ProbVector(out)
+    return ProbVector._derived(out)
 
 
 def entropy_terms(values):
@@ -192,6 +213,8 @@ def entropy_bits(x: ProbVector) -> float:
 def binary_entropy(p: float) -> float:
     """Entropy in bits of the two-outcome distribution (p, 1-p)."""
     try:
+        if type(p) in _BOOL_TYPES:
+            raise TypeError  # a bool is refused as a non-number
         if not -DEFAULT_TOL <= p <= 1.0 + DEFAULT_TOL:
             raise ValidationError(f"binary entropy argument {p!r} outside [0, 1]")
         return float(_binary_entropy_terms(min(max(p, 0.0), 1.0)))

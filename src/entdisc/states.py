@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spectra import DEFAULT_TOL, ProbVector, _is_index, check_probabilities, entropy_bits, entropy_terms
+from .spectra import _BOOL_TYPES, DEFAULT_TOL, ProbVector, _is_index, check_probabilities, entropy_bits, entropy_terms
 
 __all__ = [
     "BellFamily",
@@ -34,7 +34,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """A normalized pure state on a bipartite cut with declared local dimensions."""
+    """A normalized pure state on a bipartite cut with declared local dimensions.
+
+    The constructor checks dimensions, finiteness and norm and keeps a read-only complex copy; ``_derived`` wraps
+    states the package builds normalized, unchecked. Instances are immutable.
+    """
 
     amplitudes: np.ndarray
     dim_a: int
@@ -42,7 +46,7 @@ class PureState:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).ravel()
-        if not all(_is_index(d) and d >= 1 for d in (self.dim_a, self.dim_b)):
+        if not (_is_index(self.dim_a) and self.dim_a >= 1 and _is_index(self.dim_b) and self.dim_b >= 1):
             raise ValidationError(f"local dimensions must be positive integers, got {self.dim_a!r} and {self.dim_b!r}")
         if amps.size != self.dim_a * self.dim_b:
             raise ValidationError(
@@ -57,6 +61,15 @@ class PureState:
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def _derived(cls, amps: np.ndarray, dim_a: int, dim_b: int) -> "PureState":
+        """Wrap new, normalized complex amplitudes of positive integer dimensions dim_a x dim_b, unchecked."""
+        amps = amps.ravel()
+        amps.setflags(write=False)
+        state = object.__new__(cls)
+        state.__dict__.update(amplitudes=amps, dim_a=dim_a, dim_b=dim_b)
+        return state
 
     @classmethod
     def from_matrix(cls, coeffs: np.ndarray) -> "PureState":
@@ -128,9 +141,10 @@ def reduced_spectra(states: list[PureState]) -> list[ProbVector]:
     """``reduced_spectrum`` of states sharing one shape, with one stacked SVD for those not yet computed."""
     todo = [s for s in states if getattr(s, "_spectrum", None) is None]
     if todo:
+        # LAPACK returns the singular values in descending order, so their squares need no sort.
         sing = np.linalg.svd(np.array([s.coefficient_matrix() for s in todo]), compute_uv=False)
         for state, row in zip(todo, sing):
-            object.__setattr__(state, "_spectrum", ProbVector(row**2))
+            object.__setattr__(state, "_spectrum", ProbVector._derived(row**2))
     return [s._spectrum for s in states]
 
 
@@ -183,10 +197,12 @@ class BellFamily:
     def __post_init__(self):
         try:
             for name, value in (("a2", self.a2), ("c2", self.c2)):
+                if type(value) in _BOOL_TYPES:
+                    raise TypeError  # a bool is refused as a non-number
                 if not 0.5 <= value <= 1.0:
                     raise ValidationError(f"{name}={value!r} outside [0.5, 1]")
-            for name, value in zip("abcd", (self.a2, 1.0 - self.a2, self.c2, 1.0 - self.c2)):
-                object.__setattr__(self, name, math.sqrt(value))
+            a2, c2 = self.a2, self.c2
+            self.__dict__.update(a=math.sqrt(a2), b=math.sqrt(1.0 - a2), c=math.sqrt(c2), d=math.sqrt(1.0 - c2))
         except TypeError:
             raise ValidationError(f"a2={self.a2!r} and c2={self.c2!r} must be numbers") from None
 
@@ -196,13 +212,13 @@ class BellFamily:
         return cls(a2, c2)
 
     def states(self) -> list[PureState]:
-        """The four mutually orthogonal family members as 2x2 pure states."""
-        return [PureState(m, 2, 2) for m in family_matrices(self.a, self.b, self.c, self.d)]
+        """The four mutually orthogonal family members as 2x2 pure states, normalized as a^2 + b^2 = c^2 + d^2 = 1."""
+        matrices = np.asarray(family_matrices(self.a, self.b, self.c, self.d), dtype=complex)
+        return [PureState._derived(m, 2, 2) for m in matrices]
 
     def spectra(self) -> list[ProbVector]:
-        """Reduced spectra of the four members: (a2, 1 - a2) twice, (c2, 1 - c2) twice."""
-        first = ProbVector([self.a2, 1.0 - self.a2])
-        second = ProbVector([self.c2, 1.0 - self.c2])
+        """Reduced spectra of the four members: (a2, 1 - a2) twice, (c2, 1 - c2) twice, descending as a2, c2 >= 1/2."""
+        first, second = (ProbVector._derived(np.array([x, 1.0 - x], dtype=float)) for x in (self.a2, self.c2))
         return [first, first, second, second]
 
 

@@ -353,8 +353,9 @@ class TestEntropy:
         assert binary_entropy(-5e-10) == 0.0
         assert binary_entropy(1.0 + 5e-10) == 0.0
 
-    @pytest.mark.parametrize("bad", ["0.5", None, Decimal("0.5")])
+    @pytest.mark.parametrize("bad", ["0.5", None, Decimal("0.5"), True, False, np.True_, np.False_])
     def test_binary_entropy_rejects_non_numbers(self, bad):
+        # a bool passed as 1 or 0 and came back as 0.0
         with pytest.raises(ValidationError, match=r"^binary entropy argument .* is not a number$"):
             binary_entropy(bad)
 

@@ -225,11 +225,14 @@ class TestBellFamily:
             with pytest.raises(ValidationError, match=rf"^{name}=.* outside \[0\.5, 1\]$"):
                 build(a2, c2)
 
-    @pytest.mark.parametrize("a2, c2", [("0.7", 0.7), (0.8, None), (Decimal("0.7"), 0.7)])
+    @pytest.mark.parametrize("a2, c2", [("0.7", 0.7), (0.8, None), (Decimal("0.7"), 0.7),
+                                        (True, 0.7), (0.7, np.True_), (1.0, False), (np.False_, 1.0)])
     def test_rejects_non_numbers(self, a2, c2):
-        # a string or None failed the range comparison, and a Decimal 1 - a2, with a TypeError
-        with pytest.raises(ValidationError, match=r"^a2=.* and c2=.* must be numbers$"):
-            BellFamily(a2, c2)
+        # a string or None failed the range comparison, and a Decimal 1 - a2, with a TypeError; a bool passed the
+        # range check as 1 (or failed it as 0 with the range message)
+        for build in (BellFamily, BellFamily.from_squared):
+            with pytest.raises(ValidationError, match=r"^a2=.* and c2=.* must be numbers$"):
+                build(a2, c2)
 
     def test_maximally_entangled_case_gives_bell_states(self):
         family = BellFamily(0.5, 0.5).states()
