@@ -23,7 +23,6 @@ __all__ = [
     "entropy_bits",
     "majorizes",
     "mix",
-    "pad",
     "tensor",
 ]
 
@@ -34,7 +33,7 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 # Booleans are numbers to Python and numpy; where the package means a real value it refuses both types.
-_BOOL_TYPES = (bool, np.bool_)
+_BOOL_TYPES = frozenset((bool, np.bool_))
 
 
 def _is_index(value) -> bool:
@@ -58,10 +57,24 @@ def check_probabilities(values) -> list[float]:
     return _checked(values)[0]
 
 
+def _add_in_order(values, arr=None):
+    """Add floats or float columns left to right in a loop: the one float sum (builtin ``sum`` compensates from 3.12).
+
+    Given ``arr``, the values as a float array, this is the probability total: the loop below 8 entries, where numpy
+    adds in order too, and ``arr.sum()`` from 8 up.
+    """
+    if arr is not None and arr.size >= 8:
+        return float(arr.sum())
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _checked(values) -> tuple[list[float], np.ndarray]:
     """``check_probabilities`` on Python floats with the array route's bits, also returning the array np.asarray built.
 
-    The clamp maps -0.0 to 0.0, as np.clip does; below 8 entries numpy adds in order, so the total is Python's sum.
+    The clamp maps -0.0 to 0.0, as np.clip does. A bool entry, or a bool array, is refused as a non-number.
     """
     try:
         arr = np.asarray(values, dtype=float)
@@ -75,6 +88,10 @@ def _checked(values) -> tuple[list[float], np.ndarray]:
     if not all(map(math.isfinite, entries)):
         raise ValidationError("probabilities must be finite")
     low, high = min(entries), max(entries)
+    if low <= 0.0 or high >= 1.0:  # else no entry is a bool, which converts to 0.0 or 1.0
+        kinds = (values.dtype.type,) if isinstance(values, np.ndarray) and values.dtype != object else map(type, values)
+        if not _BOOL_TYPES.isdisjoint(kinds):
+            raise ValidationError("probabilities must be numbers, not booleans")
     if low < 0.0:
         if low < -DEFAULT_TOL:
             raise ValidationError(f"probability {low:.3e} is negative beyond tolerance {DEFAULT_TOL:.0e}")
@@ -85,7 +102,7 @@ def _checked(values) -> tuple[list[float], np.ndarray]:
     # overflow the sum.
     if high > 1.0 + DEFAULT_TOL:
         raise ValidationError(f"probability {high!r} exceeds 1 beyond tolerance {DEFAULT_TOL:.0e}")
-    total = sum(entries) if len(entries) < 8 else float(arr.sum())
+    total = _add_in_order(entries, arr)
     if not abs(total - 1.0) <= DEFAULT_TOL:
         raise ValidationError(f"probabilities sum to {total!r}, expected 1 within {DEFAULT_TOL:.0e}")
     return entries, arr
@@ -111,8 +128,7 @@ class ProbVector:
     @classmethod
     def _derived(cls, arr: np.ndarray) -> "ProbVector":
         """Wrap a new float array, nonnegative and descending by construction; checks its total as ``_checked`` does."""
-        total = sum(arr.tolist()) if arr.size < 8 else float(arr.sum())
-        if not abs(total - 1.0) <= DEFAULT_TOL:
+        if not abs(_add_in_order(arr.tolist(), arr) - 1.0) <= DEFAULT_TOL:
             _checked(arr)  # raises, with the public constructor's message
         arr.setflags(write=False)
         vec = object.__new__(cls)
@@ -158,13 +174,6 @@ def tensor(x: ProbVector, y: ProbVector) -> ProbVector:
     return ProbVector(np.outer(x.entries, y.entries).ravel())
 
 
-def pad(x: ProbVector, d: int) -> ProbVector:
-    """Append zeros up to dimension ``d``, an integer that must not shrink the vector."""
-    if not (_is_index(d) and d >= x.dim):
-        raise ValidationError(f"cannot pad dimension {x.dim} to {d!r}")
-    return ProbVector(np.concatenate([x.entries, np.zeros(d - x.dim)]))
-
-
 def mix(weighted: Iterable[tuple[float, ProbVector]]) -> ProbVector:
     """Weighted component-wise average of sorted vectors.
 
@@ -199,15 +208,16 @@ def _binary_entropy_terms(p):
     return entropy_terms(p) + entropy_terms(1.0 - p)
 
 
-def entropy_bits(x: ProbVector) -> float:
-    """Shannon entropy of the vector in bits, with 0*log(0) = 0.
+def _entropy_rows(lam: np.ndarray) -> list[float]:
+    """Entropy in bits, clamped at 0, of each row of a (rows x d) array of descending spectra: the one entropy sum."""
+    # Zero terms add nothing below 8 entries, where numpy adds in order; from 8 up a row sums only its positive terms.
+    ent = entropy_terms(lam).sum(axis=1).tolist() if lam.shape[1] < 8 else [entropy_terms(r[r > 0.0]).sum() for r in lam]
+    return [max(float(v), 0.0) for v in ent]
 
-    Clamped at 0: entries summing to 1 only within rounding can otherwise
-    give a negative value of order 1e-16 for a near-pure vector.
-    """
-    # Only the positive entries are summed: zero terms would regroup numpy's
-    # pairwise sum and could move the last bit.
-    return max(float(entropy_terms(x.entries[x.entries > 0.0]).sum()), 0.0)
+
+def entropy_bits(x: ProbVector) -> float:
+    """Shannon entropy of the vector in bits, with 0*log(0) = 0, clamped at 0."""
+    return _entropy_rows(x.entries[None])[0]
 
 
 def binary_entropy(p: float) -> float:

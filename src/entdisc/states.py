@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spectra import _BOOL_TYPES, DEFAULT_TOL, ProbVector, _is_index, check_probabilities, entropy_bits, entropy_terms
+from .spectra import _BOOL_TYPES, DEFAULT_TOL, ProbVector, _add_in_order, _entropy_rows, _is_index, check_probabilities
 
 __all__ = [
     "BellFamily",
@@ -23,7 +23,6 @@ __all__ = [
     "SchmidtDecomposition",
     "bell_states",
     "distinguishability_bound",
-    "entanglement_entropy",
     "geometric_measure",
     "global_robustness",
     "reduced_spectrum",
@@ -273,21 +272,11 @@ class Ensemble:
         return self.members[0][1].dim_b
 
 
-def entanglement_entropy(state: PureState) -> float:
-    """Entropy in e-bits of the reduced spectrum."""
-    return entropy_bits(reduced_spectrum(state))
-
-
 def _measure_rows(lam: np.ndarray) -> tuple[list[float], list[float], list[float]]:
-    """Robustness, entropy in bits and geometric measure of each row of a (members x d) descending spectrum array.
-
-    Trailing zeros add nothing below 8 entries, where numpy adds in order; from 8 up each row sums only its positive
-    terms, as ``entropy_bits`` does. Sums are squared as Python floats (C pow); an array's ** 2 can be an ulp off.
-    """
-    terms = entropy_terms(lam)
-    ent = terms.sum(axis=1).tolist() if lam.shape[1] < 8 else [float(t[row > 0.0].sum()) for t, row in zip(terms, lam)]
+    """Robustness, entropy in bits and geometric measure of each row of a (members x d) descending spectrum array."""
+    # Sums are squared as Python floats (C pow); an array's ** 2 can be an ulp off.
     rob = [max(v**2 - 1.0, 0.0) + 0.0 for v in np.sqrt(lam).sum(axis=1).tolist()]
-    return rob, [max(v, 0.0) for v in ent], [max(-v, 0.0) + 0.0 for v in np.log2(lam[:, 0]).tolist()]
+    return rob, _entropy_rows(lam), [max(-v, 0.0) + 0.0 for v in np.log2(lam[:, 0]).tolist()]
 
 
 def global_robustness(state: PureState) -> float:
@@ -328,4 +317,4 @@ def distinguishability_bound(ensemble: Ensemble) -> DistinguishabilityBound:
     """
     rob, ent, geo = _measure_rows(np.array([v.entries for v in reduced_spectra(ensemble.states)]))
     weights = ([1.0 + v for v in rob], [2.0**v for v in ent], [2.0**v for v in geo])
-    return DistinguishabilityBound(*(ensemble.dim_a * ensemble.dim_b / (sum(w) / len(w)) for w in weights))
+    return DistinguishabilityBound(*(ensemble.dim_a * ensemble.dim_b / (_add_in_order(w) / len(w)) for w in weights))

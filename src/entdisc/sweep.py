@@ -20,7 +20,7 @@ import numpy as np
 
 from .discrimination import alpha2_max_from_lambda, family_lambda_max, pointer_feasible, preserve_cap
 from .errors import ValidationError
-from .spectra import _binary_entropy_terms, _is_index, binary_entropy, entropy_terms
+from .spectra import _add_in_order, _binary_entropy_terms, _is_index, binary_entropy, entropy_terms
 from .states import BellFamily, check_family_priors, check_which
 
 __all__ = [
@@ -98,7 +98,7 @@ class SweepTable(Sequence):
 
 def _mean_entropy(h_a, h_c, probs: Sequence[float], indices=range(4)):
     """Prior-weighted mean of the members' entropies (h_a, h_a, h_c, h_c) over ``indices``, elementwise."""
-    return sum(p * (h_a, h_a, h_c, h_c)[i] for p, i in zip(probs, indices))
+    return _add_in_order(p * (h_a, h_a, h_c, h_c)[i] for p, i in zip(probs, indices))
 
 
 def avg_entanglement(family: BellFamily, probs: Sequence[float] | None = None) -> float:

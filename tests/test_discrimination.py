@@ -19,7 +19,6 @@ from entdisc import (
     closed_form_lhs,
     conjugation_probe,
     ensemble_discrimination_feasible,
-    entanglement_entropy,
     entropy_bits,
     locc_ensemble_feasible,
     majorizes,
@@ -735,7 +734,7 @@ class TestPreserve:
                 preserve_spectrum(family).entries, tensor(lam, lam).entries, atol=1e-12
             )
             assert preserve_cost(family) == pytest.approx(
-                2.0 * entanglement_entropy(family.states()[0]), abs=1e-9
+                2.0 * entropy_bits(reduced_spectrum(family.states()[0])), abs=1e-9
             )
 
     def test_cost_within_teleportation_bound(self):

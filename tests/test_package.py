@@ -32,14 +32,12 @@ PUBLIC_NAMES = [
     "conjugation_probe",
     "distinguishability_bound",
     "ensemble_discrimination_feasible",
-    "entanglement_entropy",
     "entropy_bits",
     "geometric_measure",
     "global_robustness",
     "locc_ensemble_feasible",
     "majorizes",
     "mix",
-    "pad",
     "partial_inner_product",
     "perfect_discrimination_feasible",
     "pointer_state",

@@ -22,7 +22,7 @@ from entdisc import (
     bell_states,
     closed_form_lhs,
     distinguishability_bound,
-    entanglement_entropy,
+    entropy_bits,
     geometric_measure,
     global_robustness,
     locc_ensemble_feasible,
@@ -106,8 +106,8 @@ def point_outputs(seed=2024, points=40):
                 m[:r] = rng.standard_normal((r, dim))
                 states.append(PureState.from_matrix(m / np.linalg.norm(m)))
             out += _bound_fields(distinguishability_bound(Ensemble(tuple(zip(_priors(rng, 3), states)))))
-            out += [f(s).hex() for s in states for f in
-                    (global_robustness, relative_entropy_ent, geometric_measure, entanglement_entropy)]
+            measures = (global_robustness, relative_entropy_ent, geometric_measure)
+            out += [v.hex() for s in states for v in (*(f(s) for f in measures), entropy_bits(reduced_spectrum(s)))]
     for dim in range(2, 65):
         weights = _priors(rng, 1 + dim % 3)
         targets = [(w, ProbVector(rng.dirichlet(np.ones(dim)).tolist())) for w in weights]

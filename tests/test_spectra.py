@@ -5,14 +5,18 @@ import pytest
 
 from entdisc import (
     DEFAULT_TOL,
+    BellFamily,
+    Ensemble,
     ProbVector,
     ValidationError,
+    avg_entanglement,
     binary_entropy,
     entropy_bits,
     majorizes,
     mix,
-    pad,
+    perfect_discrimination_feasible,
     tensor,
+    three_state_feasible,
 )
 from entdisc.spectra import check_probabilities
 from helpers import majorized_image, random_prob_vector
@@ -39,6 +43,37 @@ class TestProbVector:
     def test_rejects_non_numbers(self):
         with pytest.raises(ValidationError, match="must be numbers"):
             check_probabilities(["x"])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [True, False],
+            (False, True),
+            np.array([True, False]),
+            [np.True_, np.False_],
+            [0.0, True],
+            [0.5, 0.5, np.False_],
+            [True],
+        ],
+    )
+    def test_rejects_booleans(self, bad):
+        # [True, False] built [1, 0]
+        for build in (ProbVector, check_probabilities):
+            with pytest.raises(ValidationError, match="^probabilities must be numbers, not booleans$"):
+                build(bad)
+
+    def test_rejects_boolean_priors_and_weights(self):
+        family = BellFamily(0.9, 0.8)
+        bools = [True, False, False, False]
+        for call in (
+            lambda: Ensemble(tuple(zip(bools, family.states()))),
+            lambda: mix([(w, ProbVector([1.0])) for w in bools]),
+            lambda: perfect_discrimination_feasible(family, bools),
+            lambda: three_state_feasible(family, (0, 1, 2), bools[:3]),
+            lambda: avg_entanglement(family, bools),
+        ):
+            with pytest.raises(ValidationError, match="^probabilities must be numbers, not booleans$"):
+                call()
 
     def test_rejects_nested_lists(self):
         with pytest.raises(ValidationError, match="^probabilities must be a flat list of numbers$"):
@@ -358,27 +393,3 @@ class TestEntropy:
         # a bool passed as 1 or 0 and came back as 0.0
         with pytest.raises(ValidationError, match=r"^binary entropy argument .* is not a number$"):
             binary_entropy(bad)
-
-
-class TestPad:
-    def test_pads_with_zeros(self):
-        assert np.array_equal(pad(ProbVector([1.0, 0.0]), 4).entries, [1.0, 0.0, 0.0, 0.0])
-
-    def test_noop_at_same_dim(self):
-        assert np.array_equal(pad(ProbVector([0.5, 0.5]), 2).entries, [0.5, 0.5])
-
-    def test_appends_zero(self):
-        assert np.array_equal(pad(ProbVector([0.6, 0.4]), 3).entries, [0.6, 0.4, 0.0])
-
-    def test_rejects_shrinking(self):
-        with pytest.raises(ValidationError):
-            pad(ProbVector([0.6, 0.4]), 1)
-
-    @pytest.mark.parametrize("d", [2.5, True, 2.0, "2"])
-    def test_rejects_non_integer_dimension(self, d):
-        # 2.5 raised TypeError and True returned the vector unpadded.
-        with pytest.raises(ValidationError, match="cannot pad"):
-            pad(ProbVector([1.0]), d)
-
-    def test_accepts_numpy_integer_dimension(self):
-        assert pad(ProbVector([1.0]), np.int64(2)).dim == 2

@@ -11,7 +11,7 @@ from entdisc import (
     ValidationError,
     bell_states,
     distinguishability_bound,
-    entanglement_entropy,
+    entropy_bits,
     geometric_measure,
     global_robustness,
     reduced_spectrum,
@@ -191,7 +191,10 @@ class TestStoredSpectrum:
 
     def test_results_do_not_depend_on_call_order(self):
         rng = np.random.default_rng(42)
-        measures = (entanglement_entropy, global_robustness, relative_entropy_ent, geometric_measure)
+        def entropy_of(state):
+            return entropy_bits(reduced_spectrum(state))
+
+        measures = (entropy_of, global_robustness, relative_entropy_ent, geometric_measure)
         for dim_a, dim_b in [(1, 2), (2, 2), (2, 3), (3, 3)]:
             for _ in range(25):
                 warm = [random_pure_state(rng, dim_a, dim_b) for _ in range(int(rng.integers(1, 5)))]
@@ -315,9 +318,9 @@ class TestBellStates:
 
 class TestMeasures:
     def test_entanglement_entropy(self):
-        assert entanglement_entropy(BELL) == pytest.approx(1.0, abs=1e-12)
-        assert entanglement_entropy(PRODUCT) == pytest.approx(0.0, abs=1e-12)
-        assert entanglement_entropy(LOPSIDED) == pytest.approx(0.942683, abs=1e-6)
+        assert entropy_bits(reduced_spectrum(BELL)) == pytest.approx(1.0, abs=1e-12)
+        assert entropy_bits(reduced_spectrum(PRODUCT)) == pytest.approx(0.0, abs=1e-12)
+        assert entropy_bits(reduced_spectrum(LOPSIDED)) == pytest.approx(0.942683, abs=1e-6)
 
     def test_global_robustness(self):
         assert global_robustness(BELL) == pytest.approx(1.0, abs=1e-9)
@@ -328,7 +331,7 @@ class TestMeasures:
         rng = np.random.default_rng(14)
         for _ in range(20):
             state = random_pure_state(rng, 2, 2)
-            assert relative_entropy_ent(state) == entanglement_entropy(state)
+            assert relative_entropy_ent(state) == entropy_bits(reduced_spectrum(state))
 
     def test_geometric_measure(self):
         assert geometric_measure(BELL) == pytest.approx(1.0, abs=1e-9)
@@ -345,7 +348,7 @@ class TestMeasures:
     def test_two_qubit_entropy_at_most_one(self):
         rng = np.random.default_rng(16)
         for _ in range(200):
-            assert entanglement_entropy(random_pure_state(rng, 2, 2)) <= 1.0 + 1e-12
+            assert entropy_bits(reduced_spectrum(random_pure_state(rng, 2, 2))) <= 1.0 + 1e-12
 
 
 class TestEnsemble:
