@@ -34,6 +34,7 @@ DEFAULT_TOL = 1e-9
 
 # Booleans are numbers to Python and numpy; where the package means a real value it refuses both types.
 _BOOL_TYPES = frozenset((bool, np.bool_))
+_FLOAT = np.dtype(float)
 
 
 def _is_index(value) -> bool:
@@ -74,16 +75,23 @@ def _add_in_order(values, arr=None):
 def _checked(values) -> tuple[list[float], np.ndarray]:
     """``check_probabilities`` on Python floats with the array route's bits, also returning the array np.asarray built.
 
-    The clamp maps -0.0 to 0.0, as np.clip does. A bool entry, or a bool array, is refused as a non-number.
+    The clamp maps -0.0 to 0.0, as np.clip does. A bool entry, or a bool array, is refused as a non-number, and so
+    is a str or bytes entry, or a str or bytes array, though numpy would parse it.
     """
+    text = False
     try:
-        arr = np.asarray(values, dtype=float)
+        arr = np.asarray(values)  # floats infer float64; only another dtype is checked for text and converted again
+        if arr.dtype != _FLOAT:
+            text = arr.dtype.kind in "US" or arr.dtype == object and any(isinstance(v, (str, bytes)) for v in arr.flat)
+            arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"probabilities must be numbers: {exc}") from None
     if arr.ndim != 1:
         raise ValidationError("probabilities must be a flat list of numbers")
     if arr.size == 0:
         raise ValidationError("need at least one probability")
+    if text:
+        raise ValidationError("probabilities must be numbers, not strings or bytes")
     entries = arr.tolist()
     if not all(map(math.isfinite, entries)):
         raise ValidationError("probabilities must be finite")

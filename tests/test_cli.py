@@ -1,3 +1,5 @@
+import atexit
+import gc
 import itertools
 import json
 import os
@@ -191,43 +193,140 @@ SWEEP_PIN = (
 )
 
 
+# Each subcommand's argv and its exact standard output, text and --json (None: the command has no --json).
+STDOUT_PINS = pytest.mark.parametrize(
+    "argv, text, as_json",
+    [
+        (["discriminate", *A2_C2, "--probs", PRIORS],
+         "a2 = 0.8\nc2 = 0.7\nfeasible_unassisted = false\n",
+         '{"a2": 0.8, "c2": 0.7, "feasible_unassisted": false}\n'),
+        (["three-state", "--a2", "0.99", "--c2", "0.995", "--which", "0,2,3"],
+         "a2 = 0.99\nc2 = 0.995\nwhich = 0, 2, 3\nfeasible_unassisted = true\n",
+         '{"a2": 0.99, "c2": 0.995, "which": [0, 2, 3], "feasible_unassisted": true}\n'),
+        (["assist-cost", *A2_C2],
+         "a2 = 0.8\nc2 = 0.7\nfeasible = true\nalpha2_max = 0.538270825826\n"
+         "assist_cost_ebits = 0.995769759562\nfirst_sum_bound = 0.538270825826\n",
+         '{"a2": 0.8, "c2": 0.7, "feasible": true, "alpha2_max": 0.5382708258257584, '
+         '"assist_cost_ebits": 0.9957697595617602, "first_sum_bound": 0.5382708258257584}\n'),
+        (["preserve-cost", *A2_C2, "--probs", PRIORS],
+         "a2 = 0.8\nc2 = 0.7\npreserve_cost_ebits = 1.55592182565\n"
+         "preserve_spectrum = 0.595, 0.175, 0.175, 0.055\n",
+         '{"a2": 0.8, "c2": 0.7, "preserve_cost_ebits": 1.5559218256507088, '
+         '"preserve_spectrum": [0.5950000000000001, 0.175, 0.175, 0.05499999999999999]}\n'),
+        (["bounds", *A2_C2],
+         "n_robustness = 2.15255412687\nn_rel_entropy = 2.29133941694\nn_geometric = 2.98666666667\n",
+         '{"n_robustness": 2.1525541268672366, "n_rel_entropy": 2.291339416942349, '
+         '"n_geometric": 2.986666666666667}\n'),
+        (["convert", "--source", "0.5,0.5", "--target", "0.5:1,0", "--target", "0.5:0.6,0.4"],
+         "feasible = true\n",
+         '{"feasible": true}\n'),
+        (["sweep", "--mode", "assist", "--grid-n", "2", "--probs", PRIORS], SWEEP_PIN, None),
+    ],
+    ids=["discriminate", "three-state", "assist-cost", "preserve-cost", "bounds", "convert", "sweep"],
+)
+
+
 class TestStdoutPins:
     """Exact standard output of every subcommand, text and --json."""
 
-    @pytest.mark.parametrize(
-        "argv, text, as_json",
-        [
-            (["discriminate", *A2_C2, "--probs", PRIORS],
-             "a2 = 0.8\nc2 = 0.7\nfeasible_unassisted = false\n",
-             '{"a2": 0.8, "c2": 0.7, "feasible_unassisted": false}\n'),
-            (["three-state", "--a2", "0.99", "--c2", "0.995", "--which", "0,2,3"],
-             "a2 = 0.99\nc2 = 0.995\nwhich = 0, 2, 3\nfeasible_unassisted = true\n",
-             '{"a2": 0.99, "c2": 0.995, "which": [0, 2, 3], "feasible_unassisted": true}\n'),
-            (["assist-cost", *A2_C2],
-             "a2 = 0.8\nc2 = 0.7\nfeasible = true\nalpha2_max = 0.538270825826\n"
-             "assist_cost_ebits = 0.995769759562\nfirst_sum_bound = 0.538270825826\n",
-             '{"a2": 0.8, "c2": 0.7, "feasible": true, "alpha2_max": 0.5382708258257584, '
-             '"assist_cost_ebits": 0.9957697595617602, "first_sum_bound": 0.5382708258257584}\n'),
-            (["preserve-cost", *A2_C2, "--probs", PRIORS],
-             "a2 = 0.8\nc2 = 0.7\npreserve_cost_ebits = 1.55592182565\n"
-             "preserve_spectrum = 0.595, 0.175, 0.175, 0.055\n",
-             '{"a2": 0.8, "c2": 0.7, "preserve_cost_ebits": 1.5559218256507088, '
-             '"preserve_spectrum": [0.5950000000000001, 0.175, 0.175, 0.05499999999999999]}\n'),
-            (["bounds", *A2_C2],
-             "n_robustness = 2.15255412687\nn_rel_entropy = 2.29133941694\nn_geometric = 2.98666666667\n",
-             '{"n_robustness": 2.1525541268672366, "n_rel_entropy": 2.291339416942349, '
-             '"n_geometric": 2.986666666666667}\n'),
-            (["convert", "--source", "0.5,0.5", "--target", "0.5:1,0", "--target", "0.5:0.6,0.4"],
-             "feasible = true\n",
-             '{"feasible": true}\n'),
-            (["sweep", "--mode", "assist", "--grid-n", "2", "--probs", PRIORS], SWEEP_PIN, None),
-        ],
-        ids=["discriminate", "three-state", "assist-cost", "preserve-cost", "bounds", "convert", "sweep"],
-    )
+    @STDOUT_PINS
     def test_exact_stdout(self, capsys, argv, text, as_json):
         assert run_cli(capsys, *argv) == (0, text, "")
         if as_json is not None:
             assert run_cli(capsys, *argv, "--json") == (0, as_json, "")
+
+
+# The body of the installed `entdisc` console script.
+LAUNCH_CLI = "import sys; from entdisc.cli import main; sys.exit(main())"
+
+
+def run_cold(*argv, cwd=None):
+    """``entdisc ARGV`` in a new interpreter, as the console script runs it: its exit code, stdout and stderr."""
+    child = subprocess.run([sys.executable, "-c", LAUNCH_CLI, *argv], capture_output=True, text=True,
+                           env=child_env(), cwd=cwd, timeout=60)
+    return child.returncode, child.stdout, child.stderr
+
+
+class TestColdProcess:
+    """Each exit path of a fresh process, through to interpreter shutdown, where main's exit hook runs."""
+
+    @STDOUT_PINS
+    def test_exact_stdout(self, argv, text, as_json):
+        assert run_cold(*argv) == (0, text, "")
+        if as_json is not None:
+            assert run_cold(*argv, "--json") == (0, as_json, "")
+
+    def test_exit_freezes_the_heap(self):
+        # exit hooks run last-registered first, so this one runs after main's and sees the heap frozen
+        script = ("import atexit, gc, sys; atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+                  "from entdisc.cli import main; main(['assist-cost', '--a2', '0.8', '--c2', '0.7', '--json'])")
+        child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env(),
+                               timeout=60)
+        assert (child.returncode, child.stdout.splitlines()[-1], child.stderr) == (0, "True", "")
+
+    def test_usage_error_exits_2_with_one_line(self):
+        code, out, err = run_cold("frobnicate")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [err.strip()] and err.startswith("error: ")
+
+    def test_help_exits_0(self):
+        code, out, err = run_cold("--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: entdisc")
+
+    def test_out_leaves_only_the_csv(self, tmp_path):
+        argv = ["sweep", "--mode", "assist", "--grid-n", "2", "--probs", PRIORS, "--out", "scan.csv"]
+        assert run_cold(*argv, cwd=tmp_path) == (0, "", "")
+        assert os.listdir(tmp_path) == ["scan.csv"]
+        assert (tmp_path / "scan.csv").read_bytes() == SWEEP_PIN.encode()
+
+
+def test_main_leaves_collector_state_alone(capsys):
+    # main only registers gc.freeze to run at exit, and once per process: a test process keeps collecting its own
+    # garbage as before
+    enabled, frozen, hooks = gc.isenabled(), gc.get_freeze_count(), atexit._ncallbacks()
+    argvs = (["assist-cost", *A2_C2], ["discriminate", "--a2", "2", "--c2", "1"], ["bounds", *A2_C2, "--json"])
+    for argv in argvs:
+        main(argv)
+    assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    assert atexit._ncallbacks() - hooks in (0, 1)
+    hooks = atexit._ncallbacks()
+    for argv in argvs:
+        main(argv)
+    assert (gc.isenabled(), gc.get_freeze_count(), atexit._ncallbacks()) == (enabled, frozen, hooks)
+    capsys.readouterr()
+
+
+# Runs main() once per (argv, expected code) in its argument, each printing no more than its own error line, then
+# collects: a file left open in a reference cycle, which the frozen exit would never finalize, warns here instead.
+LEAK_SCRIPT = """
+import contextlib, gc, io, json, sys
+from entdisc.cli import main
+for argv, expected in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code == expected and [line[:7] for line in lines] == ["error: "] * (code != 0), (argv, code, lines)
+gc.collect()
+"""
+
+
+def test_no_resource_leaks_hidden_by_the_frozen_exit(tmp_path):
+    states = tmp_path / "states.json"
+    members = [{"dim_a": 2, "dim_b": 2, "amplitudes": amps} for amps in ([0.6, 0, 0, 0.8], [0, 1, 0, 0])]
+    states.write_text(json.dumps({"probs": [0.5, 0.5], "states": members}))
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"family": {"a2": 0.8, "c2": 0.7}, "probs": [0.4, 0.3, 0.2, 0.1]}))
+    runs = [
+        (["sweep", "--mode", "preserve", "--grid-n", "3", "--out", str(tmp_path / "scan.csv")], 0),
+        (["discriminate", "--ensemble", str(states)], 0),
+        (["discriminate", "--ensemble", str(family)], 0),
+        (["bounds", "--ensemble", str(states), "--json"], 0),
+        (["bounds", "--ensemble", str(tmp_path / "missing.json")], 2),
+    ]
+    argv = [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", LEAK_SCRIPT, json.dumps(runs)]
+    child = subprocess.run(argv, capture_output=True, text=True, env=child_env(), timeout=60)
+    assert (child.returncode, child.stderr) == (0, "")
 
 
 class TestEnsembleFile:

@@ -75,6 +75,41 @@ class TestProbVector:
             with pytest.raises(ValidationError, match="^probabilities must be numbers, not booleans$"):
                 call()
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["0.5", "0.5"],
+            [b"0.25"] * 4,
+            [0.5, "0.5"],
+            [0.5, np.str_("0.5")],
+            np.array(["0.5", "0.5"]),
+            np.array([b"0.5", b"0.5"]),
+            np.array([0.5, "0.5"], dtype=object),
+        ],
+    )
+    def test_rejects_strings_and_bytes(self, bad):
+        # numpy parses numeric text, so ["0.5", "0.5"] built [0.5, 0.5] while binary_entropy("0.5") refused it
+        for build in (ProbVector, check_probabilities):
+            with pytest.raises(ValidationError, match="^probabilities must be numbers, not strings or bytes$"):
+                build(bad)
+
+    def test_rejects_string_priors_and_weights(self):
+        family = BellFamily(0.9, 0.8)
+        text = ["0.25"] * 4
+        for call in (
+            lambda: Ensemble(tuple(zip(text, family.states()))),
+            lambda: mix([(w, ProbVector([1.0])) for w in text]),
+            lambda: perfect_discrimination_feasible(family, text),
+            lambda: three_state_feasible(family, (0, 1, 2), ["0.5", "0.25", "0.25"]),
+            lambda: avg_entanglement(family, text),
+        ):
+            with pytest.raises(ValidationError, match="^probabilities must be numbers, not strings or bytes$"):
+                call()
+
+    def test_text_that_numpy_cannot_parse_keeps_its_reason(self):
+        with pytest.raises(ValidationError, match="^probabilities must be numbers: could not convert string"):
+            check_probabilities(["abc", 0.5])
+
     def test_rejects_nested_lists(self):
         with pytest.raises(ValidationError, match="^probabilities must be a flat list of numbers$"):
             ProbVector([[0.5], [0.5]])
