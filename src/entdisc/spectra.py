@@ -49,20 +49,11 @@ def check_tol(tol) -> float:
     return tol
 
 
-def check_probabilities(values) -> list[float]:
-    """Validate probabilities given in any order; returns them as a list of Python floats.
-
-    Entries must be finite numbers within DEFAULT_TOL of [0, 1], and must sum
-    to 1 within DEFAULT_TOL; negatives inside the tolerance are clamped to zero.
-    """
-    return _checked(values)[0]
-
-
 def _add_in_order(values, arr=None):
     """Add floats or float columns left to right in a loop: the one float sum (builtin ``sum`` compensates from 3.12).
 
     Given ``arr``, the values as a float array, this is the probability total: the loop below 8 entries, where numpy
-    adds in order too, and ``arr.sum()`` from 8 up.
+    adds in order too, and ``arr.sum()`` from 8 up (its bits pinned by ``TestArrayRouteOracle``).
     """
     if arr is not None and arr.size >= 8:
         return float(arr.sum())
@@ -72,26 +63,32 @@ def _add_in_order(values, arr=None):
     return total
 
 
-def _checked(values) -> tuple[list[float], np.ndarray]:
-    """``check_probabilities`` on Python floats with the array route's bits, also returning the array np.asarray built.
+def check_probabilities(values) -> list[float]:
+    """Validate probabilities given in any order, by one route at every size; returns them as a list of Python floats.
 
-    The clamp maps -0.0 to 0.0, as np.clip does. A bool entry, or a bool array, is refused as a non-number, and so
-    is a str or bytes entry, or a str or bytes array, though numpy would parse it.
+    Entries must be finite numbers within DEFAULT_TOL of [0, 1], and must sum to 1 within DEFAULT_TOL; negatives
+    inside the tolerance are clamped to zero, with np.clip's zero sign. A bool, str or bytes entry or array is refused
+    as a non-number, though numpy would read it; complex, timedelta64 and datetime64 values before numpy casts them.
+    The one size rule is the total's (``_add_in_order``), pinned with every byte and message by TestArrayRouteOracle.
     """
-    text = False
+    reason = None
     try:
-        arr = np.asarray(values)  # floats infer float64; only another dtype is checked for text and converted again
+        arr = np.asarray(values)  # floats infer float64; only another dtype is judged by kind and converted again
         if arr.dtype != _FLOAT:
-            text = arr.dtype.kind in "US" or arr.dtype == object and any(isinstance(v, (str, bytes)) for v in arr.flat)
-            arr = np.asarray(values, dtype=float)
+            kinds = {arr.dtype.kind} if arr.dtype != object else {np.asarray(v).dtype.kind for v in arr.flat}
+            if not kinds.isdisjoint("cmM"):  # left unconverted: the cast would drop an imaginary part or a time unit
+                reason = "probabilities must be real numbers, not complex or time values"
+            else:
+                reason = None if kinds.isdisjoint("US") else "probabilities must be numbers, not strings or bytes"
+                arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"probabilities must be numbers: {exc}") from None
     if arr.ndim != 1:
         raise ValidationError("probabilities must be a flat list of numbers")
     if arr.size == 0:
         raise ValidationError("need at least one probability")
-    if text:
-        raise ValidationError("probabilities must be numbers, not strings or bytes")
+    if reason:
+        raise ValidationError(reason)
     entries = arr.tolist()
     if not all(map(math.isfinite, entries)):
         raise ValidationError("probabilities must be finite")
@@ -113,7 +110,7 @@ def _checked(values) -> tuple[list[float], np.ndarray]:
     total = _add_in_order(entries, arr)
     if not abs(total - 1.0) <= DEFAULT_TOL:
         raise ValidationError(f"probabilities sum to {total!r}, expected 1 within {DEFAULT_TOL:.0e}")
-    return entries, arr
+    return entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,23 +118,22 @@ class ProbVector:
     """A probability vector stored in canonical non-increasing order.
 
     The constructor clamps, validates and sorts the entries once, so partial-sum comparisons never have to re-sort;
-    ``_derived`` wraps values derived from checked objects, checking only their total. Instances are immutable.
+    it sorts the checked floats one way at every size, with np.sort(kind="stable")[::-1]'s bytes. ``_derived`` wraps
+    values derived from checked objects, checking only their total. Instances are immutable.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        entries, arr = _checked(self.entries)
-        # Both give np.sort(kind="stable")[::-1]'s order; Python's sort is the faster below 16 entries.
-        arr = np.array(sorted(entries)[::-1]) if len(entries) < 16 else np.sort(arr, kind="stable")[::-1].copy()
+        arr = np.array(sorted(check_probabilities(self.entries))[::-1])
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     @classmethod
     def _derived(cls, arr: np.ndarray) -> "ProbVector":
-        """Wrap a new float array, nonnegative and descending by construction; checks its total as ``_checked`` does."""
+        """Wrap a new float array, nonnegative and descending by construction; checks its total as ProbVector does."""
         if not abs(_add_in_order(arr.tolist(), arr) - 1.0) <= DEFAULT_TOL:
-            _checked(arr)  # raises, with the public constructor's message
+            check_probabilities(arr)  # raises, with the public constructor's message
         arr.setflags(write=False)
         vec = object.__new__(cls)
         object.__setattr__(vec, "entries", arr)
@@ -188,20 +184,14 @@ def mix(weighted: Iterable[tuple[float, ProbVector]]) -> ProbVector:
     Each input vector is already in descending order (the ProbVector
     invariant); all are zero-padded to the largest dimension and averaged
     component-wise with the given weights, so the average is descending too.
-    Entries add in member order: on Python floats below 8 entries, as arrays from 8 up (the faster there).
+    Each entry's weighted terms add in member order on Python floats, at every size.
     """
     pairs = list(weighted)
     weights = check_probabilities([p for p, _ in pairs])
-    dim = max(v.dim for _, v in pairs)
-    if dim < 8:
-        out = [0.0] * dim
-        for w, (_, v) in zip(weights, pairs):
-            out[: v.dim] = [t + w * x for t, x in zip(out, v.entries.tolist())]
-        return ProbVector._derived(np.array(out))
-    out = np.zeros(dim)
+    out = [0.0] * max(v.dim for _, v in pairs)
     for w, (_, v) in zip(weights, pairs):
-        out[: v.dim] += w * v.entries
-    return ProbVector._derived(out)
+        out[: v.dim] = [t + w * x for t, x in zip(out, v.entries.tolist())]
+    return ProbVector._derived(np.array(out))
 
 
 def entropy_terms(values):

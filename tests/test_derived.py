@@ -74,11 +74,12 @@ class TestReducedSpectra:
 
 class TestMix:
     def test_both_sides_of_eight_entries(self):
-        # oracle: one weighted array per member added into zeros, then the public constructor
+        # oracle: one weighted array per member added into zeros (the array copy mix once kept from 8 entries up),
+        # then the public constructor; mix adds on floats at every size
         rng = np.random.default_rng(30)
-        for trial in range(400):
-            size = int(rng.integers(1, 5))
-            dims = rng.integers(1, 33, size=size).tolist()
+
+        def check(trial, dims):
+            size = len(dims)
             parts = [random_prob_vector(rng, d) if trial % 3 else ProbVector(np.eye(d)[0]) for d in dims]
             weights = rng.dirichlet(np.ones(size)).tolist()
             if trial % 5 == 0 and size > 1:
@@ -87,8 +88,14 @@ class TestMix:
             for w, v in zip(weights, parts):
                 out[: v.dim] += w * v.entries
             derived = mix(list(zip(weights, parts)))
+            assert derived.entries.tobytes() == out.tobytes()
             assert_same_vector(derived, ProbVector(out))
             assert_read_only_and_frozen(derived, "entries")
+
+        for trial in range(400):
+            check(trial, rng.integers(1, 33, size=int(rng.integers(1, 5))).tolist())
+        for trial, dims in enumerate([[16], [32], [64], [16, 32], [64, 3, 16], [8, 64, 32, 16], [64, 64, 1, 64]] * 15):
+            check(trial, dims)
 
     @pytest.mark.parametrize("dim", [2, 7, 8, 16, 32])
     def test_total_check_survived(self, dim):

@@ -1,3 +1,4 @@
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -10,6 +11,7 @@ from entdisc import (
     ProbVector,
     ValidationError,
     avg_entanglement,
+    bell_states,
     binary_entropy,
     entropy_bits,
     majorizes,
@@ -85,13 +87,25 @@ class TestProbVector:
             np.array(["0.5", "0.5"]),
             np.array([b"0.5", b"0.5"]),
             np.array([0.5, "0.5"], dtype=object),
+            np.array([0.25 + 1j] * 4),
+            [np.complex128(0.25 + 1j)] * 4,
+            [np.complex128(1 + 2j)],
+            np.array([np.complex128(0.25 + 1j)] * 4, dtype=object),
+            np.array([1, 0], dtype="m8[s]"),
+            np.array([1, 0], dtype="M8[s]"),
         ],
     )
     def test_rejects_strings_and_bytes(self, bad):
-        # numpy parses numeric text, so ["0.5", "0.5"] built [0.5, 0.5] while binary_entropy("0.5") refused it
-        for build in (ProbVector, check_probabilities):
-            with pytest.raises(ValidationError, match="^probabilities must be numbers, not strings or bytes$"):
-                build(bad)
+        # numpy parses numeric text, so ["0.5", "0.5"] built [0.5, 0.5] while binary_entropy("0.5") refused it;
+        # it casts complex and time values to their real part or count, with at most a ComplexWarning
+        text = any(isinstance(v, (str, bytes)) for v in np.asarray(bad, dtype=object).flat)
+        reason = "numbers, not strings or bytes" if text else "real numbers, not complex or time values"
+        states = bell_states()
+        for build in (ProbVector, check_probabilities, lambda priors: Ensemble(tuple(zip(priors, states)))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError, match=f"^probabilities must be {reason}$"):
+                    build(bad)
 
     def test_rejects_string_priors_and_weights(self):
         family = BellFamily(0.9, 0.8)
