@@ -28,7 +28,7 @@ from .discrimination import (
     three_state_feasible,
 )
 from .errors import ValidationError
-from .spectra import DEFAULT_TOL, ProbVector, check_tol, entropy_bits
+from .spectra import DEFAULT_TOL, ProbVector, _is_real, check_tol, entropy_bits
 from .states import BellFamily, Ensemble, PureState, check_family_priors, distinguishability_bound
 from .sweep import DEFAULT_GRID_N, MAX_GRID_N, SWEEP_MODES, format_value, run_sweep, write_csv
 
@@ -139,7 +139,7 @@ def load_ensemble_file(path: str) -> Ensemble:
 
 def _json_floats(values: list, what: str) -> list[float]:
     """``values`` as floats if each is a JSON number (a boolean is not one); anything else exits 2."""
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+    if not all(map(_is_real, values)):
         raise ValidationError(f"{what} must be JSON numbers")
     try:
         return [float(v) for v in values]

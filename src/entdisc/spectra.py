@@ -42,11 +42,21 @@ def _is_index(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """A real number, not a bool: an int, float, numpy integer or floating scalar; a float, the per-point case, first."""
+    return type(value) is float or isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def check_tol(tol) -> float:
     """A comparison tolerance: a finite number >= 0 that is not a bool, the one rule for every verdict and --tol."""
-    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)) or not 0.0 <= tol < math.inf:
+    if not (_is_real(tol) and 0.0 <= tol < math.inf):
         raise ValidationError(f"tolerance must be a finite number >= 0, got {tol!r}")
-    return tol
+    return float(tol)  # a float16 or float32 tolerance would round every sum it is added to
+
+
+def _kinds(arr: np.ndarray) -> set[str]:
+    """The dtype kind of an array, or of each entry of an object array: the one test of what values an input holds."""
+    return {arr.dtype.kind} if arr.dtype != object else {np.asarray(v).dtype.kind for v in arr.flat}
 
 
 def _add_in_order(values, arr=None):
@@ -75,7 +85,7 @@ def check_probabilities(values) -> list[float]:
     try:
         arr = np.asarray(values)  # floats infer float64; only another dtype is judged by kind and converted again
         if arr.dtype != _FLOAT:
-            kinds = {arr.dtype.kind} if arr.dtype != object else {np.asarray(v).dtype.kind for v in arr.flat}
+            kinds = _kinds(arr)
             if not kinds.isdisjoint("cmM"):  # left unconverted: the cast would drop an imaginary part or a time unit
                 reason = "probabilities must be real numbers, not complex or time values"
             else:
@@ -162,7 +172,7 @@ def majorizes(x: ProbVector, y: ProbVector, tol: float = DEFAULT_TOL) -> bool:
     invariant, so the last sum is skipped. The sums run on Python floats in
     the order ``np.cumsum`` adds, so verdicts match an array test bit for bit.
     """
-    check_tol(tol)
+    tol = check_tol(tol)
     xs, ys = x.entries.tolist(), y.entries.tolist()
     sum_x = sum_y = 0.0
     for a, b in islice(zip_longest(xs, ys, fillvalue=0.0), max(len(xs), len(ys)) - 1):
@@ -220,11 +230,8 @@ def entropy_bits(x: ProbVector) -> float:
 
 def binary_entropy(p: float) -> float:
     """Entropy in bits of the two-outcome distribution (p, 1-p)."""
-    try:
-        if type(p) in _BOOL_TYPES:
-            raise TypeError  # a bool is refused as a non-number
-        if not -DEFAULT_TOL <= p <= 1.0 + DEFAULT_TOL:
-            raise ValidationError(f"binary entropy argument {p!r} outside [0, 1]")
-        return float(_binary_entropy_terms(min(max(p, 0.0), 1.0)))
-    except TypeError:
-        raise ValidationError(f"binary entropy argument {p!r} is not a number") from None
+    if not _is_real(p):
+        raise ValidationError(f"binary entropy argument {p!r} is not a number")
+    if not -DEFAULT_TOL <= p <= 1.0 + DEFAULT_TOL:
+        raise ValidationError(f"binary entropy argument {p!r} outside [0, 1]")
+    return float(_binary_entropy_terms(min(max(float(p), 0.0), 1.0)))

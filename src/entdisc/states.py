@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spectra import _BOOL_TYPES, DEFAULT_TOL, ProbVector, _add_in_order, _entropy_rows, _is_index, check_probabilities
+from .spectra import DEFAULT_TOL, ProbVector, _add_in_order, _entropy_rows, _is_index, _is_real, _kinds, check_probabilities
 
 __all__ = [
     "BellFamily",
@@ -31,12 +31,25 @@ __all__ = [
 ]
 
 
+def _amplitudes(values) -> np.ndarray:
+    """Amplitudes as a complex array: an ndarray judged by its dtype, anything else entry by entry (a bool among ints)."""
+    try:
+        arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+        # A numeric ndarray, the per-point case, passes on its dtype kind without the helper's call.
+        if arr.dtype.kind in "iufc" or _kinds(arr) <= set("iufc"):
+            return arr.astype(complex, copy=False)
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError("state amplitudes must be numbers")
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """A normalized pure state on a bipartite cut with declared local dimensions.
 
-    The constructor checks dimensions, finiteness and norm and keeps a read-only complex copy; ``_derived`` wraps
-    states the package builds normalized, unchecked. Instances are immutable.
+    The constructor refuses amplitudes that are not numbers (bools, strings, times, objects), checks dimensions,
+    finiteness and norm, and keeps a read-only complex copy; ``_derived`` wraps states the package builds normalized,
+    unchecked. Instances are immutable.
     """
 
     amplitudes: np.ndarray
@@ -44,7 +57,7 @@ class PureState:
     dim_b: int
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).ravel()
+        amps = _amplitudes(self.amplitudes).flatten()
         if not (_is_index(self.dim_a) and self.dim_a >= 1 and _is_index(self.dim_b) and self.dim_b >= 1):
             raise ValidationError(f"local dimensions must be positive integers, got {self.dim_a!r} and {self.dim_b!r}")
         if amps.size != self.dim_a * self.dim_b:
@@ -57,7 +70,6 @@ class PureState:
             raise ValidationError("state amplitudes must be finite")
         if abs(norm2 - 1.0) > DEFAULT_TOL:
             raise ValidationError(f"state norm^2 is {norm2!r}, expected 1 within {DEFAULT_TOL:.0e}")
-        amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -73,7 +85,7 @@ class PureState:
     @classmethod
     def from_matrix(cls, coeffs: np.ndarray) -> "PureState":
         """Build a state from its dim_a x dim_b coefficient matrix."""
-        coeffs = np.asarray(coeffs, dtype=complex)
+        coeffs = _amplitudes(coeffs)
         if coeffs.ndim != 2:
             raise ValidationError("coefficient matrix must be two-dimensional")
         return cls(coeffs.ravel(), coeffs.shape[0], coeffs.shape[1])
@@ -194,16 +206,13 @@ class BellFamily:
     c2: float
 
     def __post_init__(self):
-        try:
-            for name, value in (("a2", self.a2), ("c2", self.c2)):
-                if type(value) in _BOOL_TYPES:
-                    raise TypeError  # a bool is refused as a non-number
-                if not 0.5 <= value <= 1.0:
-                    raise ValidationError(f"{name}={value!r} outside [0.5, 1]")
-            a2, c2 = self.a2, self.c2
-            self.__dict__.update(a=math.sqrt(a2), b=math.sqrt(1.0 - a2), c=math.sqrt(c2), d=math.sqrt(1.0 - c2))
-        except TypeError:
-            raise ValidationError(f"a2={self.a2!r} and c2={self.c2!r} must be numbers") from None
+        a2, c2 = self.a2, self.c2
+        if not (_is_real(a2) and _is_real(c2)):
+            raise ValidationError(f"a2={a2!r} and c2={c2!r} must be numbers")
+        for name, value in (("a2", a2), ("c2", c2)):
+            if not 0.5 <= value <= 1.0:
+                raise ValidationError(f"{name}={value!r} outside [0.5, 1]")
+        self.__dict__.update(a=math.sqrt(a2), b=math.sqrt(1.0 - a2), c=math.sqrt(c2), d=math.sqrt(1.0 - c2))
 
     @classmethod
     def from_squared(cls, a2: float, c2: float) -> "BellFamily":

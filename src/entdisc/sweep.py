@@ -20,7 +20,7 @@ import numpy as np
 
 from .discrimination import alpha2_max_from_lambda, family_lambda_max, pointer_feasible, preserve_cap
 from .errors import ValidationError
-from .spectra import _add_in_order, _binary_entropy_terms, _is_index, binary_entropy, entropy_terms
+from .spectra import _BOOL_TYPES, _add_in_order, _binary_entropy_terms, _is_index, binary_entropy, entropy_terms
 from .states import BellFamily, check_family_priors, check_which
 
 __all__ = [
@@ -166,7 +166,7 @@ def format_value(value) -> str:
     """The text of one output value: None is empty, bools (numpy's too) are true/false, numbers %.12g."""
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if type(value) in _BOOL_TYPES:
         return "true" if value else "false"
     return format(value, ".12g")
 

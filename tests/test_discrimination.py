@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -347,9 +348,12 @@ def test_verdicts_refuse_a_bad_tolerance(name):
     # a NaN or negative tolerance would make every comparison False and return a verdict with no error
     verdict = VERDICTS[name]
     assert verdict(0.0) in (True, False)
-    for tol in (math.nan, math.inf, -1e-3, "0.1", True):
-        with pytest.raises(ValidationError, match="tolerance must be a finite number >= 0"):
-            verdict(tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tol in (math.nan, math.inf, -1e-3, "0.1", True, np.complex128(0.9), np.complex128(0.9 + 0.4j),
+                    Fraction(9, 10), np.array(0.9)):
+            with pytest.raises(ValidationError, match="tolerance must be a finite number >= 0"):
+                verdict(tol)
 
 
 class TestClosedForm:

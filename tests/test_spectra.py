@@ -1,5 +1,6 @@
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -437,8 +438,12 @@ class TestEntropy:
         assert binary_entropy(-5e-10) == 0.0
         assert binary_entropy(1.0 + 5e-10) == 0.0
 
-    @pytest.mark.parametrize("bad", ["0.5", None, Decimal("0.5"), True, False, np.True_, np.False_])
+    @pytest.mark.parametrize("bad", ["0.5", None, Decimal("0.5"), True, False, np.True_, np.False_, np.complex128(0.9),
+                                     np.complex128(0.9 + 0.4j), Fraction(9, 10), np.array(0.9)])
     def test_binary_entropy_rejects_non_numbers(self, bad):
-        # a bool passed as 1 or 0 and came back as 0.0
-        with pytest.raises(ValidationError, match=r"^binary entropy argument .* is not a number$"):
-            binary_entropy(bad)
+        # a bool passed as 1 or 0 and came back as 0.0; a numpy complex gave the entropy of a complex p, over 1 bit
+        # for 0.3+0.9j, behind only a ComplexWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^binary entropy argument .* is not a number$"):
+                binary_entropy(bad)

@@ -1,5 +1,7 @@
 import math
+import warnings
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,13 +9,16 @@ import pytest
 from entdisc import (
     BellFamily,
     Ensemble,
+    ProbVector,
     PureState,
     ValidationError,
     bell_states,
+    binary_entropy,
     distinguishability_bound,
     entropy_bits,
     geometric_measure,
     global_robustness,
+    majorizes,
     reduced_spectrum,
     relative_entropy_ent,
     schmidt,
@@ -44,6 +49,46 @@ class TestPureState:
         # finite amplitudes whose squares overflow used to be called non-finite
         with pytest.raises(ValidationError, match=r"^state norm\^2 is inf, expected 1 within"):
             PureState(np.array([1e200, 0.0, 0.0, 0.0]), 2, 2)
+
+    @pytest.mark.parametrize(
+        "amps, dims, matrix",
+        [
+            (["1", "0", "0", "0"], (2, 2), [["1", "0"], ["0", "0"]]),
+            ([b"1", b"0", b"0", b"0"], (2, 2), [[b"1", b"0"], [b"0", b"0"]]),
+            ([True, False, False, False], (2, 2), [[True, False], [False, False]]),
+            ([True, 0, 0, 0], (2, 2), [[True, 0], [0, 0]]),
+            (np.array([1, 0, 0, 0], dtype=bool), (2, 2), np.array([[1, 0], [0, 0]], dtype=bool)),
+            (np.zeros(4, "m8"), (2, 2), np.zeros((2, 2), "m8")),
+            (np.zeros(4, "M8[s]"), (2, 2), np.zeros((2, 2), "M8[s]")),
+            ("abc", (1, 3), [list("abc")]),
+            ([[1, 0], [0]], (2, 2), [[1, 0], [0]]),
+            ([object()], (1, 1), [[object()]]),
+            ([None, 1, 0, 0], (2, 2), [[None, 1], [0, 0]]),
+        ],
+    )
+    def test_rejects_non_number_amplitudes(self, amps, dims, matrix):
+        # strings and bytes were parsed, and bools and times counted, into |00>; "abc", ragged lists and objects
+        # escaped as raw ValueError or TypeError, and None was called non-finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (lambda: PureState(amps, *dims), lambda: PureState.from_matrix(matrix)):
+                with pytest.raises(ValidationError, match="^state amplitudes must be numbers$"):
+                    build()
+
+    def test_accepts_numbers(self):
+        # numpy and Python numbers stay scalars, and int, nested and complex lists stay amplitudes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scalar in (np.float16(0.9), np.int64(1), 1):
+                family = BellFamily(scalar, scalar)
+                assert family.a == family.c == math.sqrt(scalar)
+                assert binary_entropy(scalar) == binary_entropy(float(scalar))  # a float16 p gave a float16 entropy
+                assert majorizes(reduced_spectrum(BELL), reduced_spectrum(PRODUCT), scalar)
+            # a float16 tolerance rounded 0.7 + tol up to 0.7002 and passed this pair
+            assert not majorizes(ProbVector([0.70001, 0.29999]), ProbVector([0.7, 0.3]), np.float16(1e-9))
+            for amps in ([0, 1, 0, 0], [[0, 1], [0, 0]], [0, 1 + 0j, 0, 0]):
+                assert PureState(amps, 2, 2).amplitudes.tolist() == [0, 1, 0, 0]
+            assert PureState.from_matrix([[0, 1j], [0, 0]]).amplitudes.tolist() == [0, 1j, 0, 0]
 
     @pytest.mark.parametrize("dims", [(2.0, 2), (2, 2.9), (True, 4), ("2", 2), (0, 4), (np.float64(2.0), 2)])
     def test_rejects_non_integer_dimensions(self, dims):
@@ -229,13 +274,18 @@ class TestBellFamily:
                 build(a2, c2)
 
     @pytest.mark.parametrize("a2, c2", [("0.7", 0.7), (0.8, None), (Decimal("0.7"), 0.7),
-                                        (True, 0.7), (0.7, np.True_), (1.0, False), (np.False_, 1.0)])
+                                        (True, 0.7), (0.7, np.True_), (1.0, False), (np.False_, 1.0),
+                                        (np.complex128(0.9), 0.8), (0.9, np.complex128(0.9 + 0.4j)),
+                                        (Fraction(9, 10), Fraction(4, 5)), (np.array(0.9), 0.8)])
     def test_rejects_non_numbers(self, a2, c2):
         # a string or None failed the range comparison, and a Decimal 1 - a2, with a TypeError; a bool passed the
-        # range check as 1 (or failed it as 0 with the range message)
-        for build in (BellFamily, BellFamily.from_squared):
-            with pytest.raises(ValidationError, match=r"^a2=.* and c2=.* must be numbers$"):
-                build(a2, c2)
+        # range check as 1 (or failed it as 0 with the range message); a numpy complex was built from its real part
+        # with a ComplexWarning, and a Fraction or a 0-d array was stored as given
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (BellFamily, BellFamily.from_squared):
+                with pytest.raises(ValidationError, match=r"^a2=.* and c2=.* must be numbers$"):
+                    build(a2, c2)
 
     def test_maximally_entangled_case_gives_bell_states(self):
         family = BellFamily(0.5, 0.5).states()
