@@ -28,8 +28,8 @@ from .discrimination import (
     three_state_feasible,
 )
 from .errors import ValidationError
-from .spectra import DEFAULT_TOL, ProbVector, _is_real, check_tol, entropy_bits
-from .states import BellFamily, Ensemble, PureState, check_family_priors, distinguishability_bound
+from .spectra import DEFAULT_TOL, ProbVector, check_tol, entropy_bits
+from .states import BellFamily, Ensemble, PureState, _amplitudes, check_family_priors, distinguishability_bound
 from .sweep import DEFAULT_GRID_N, MAX_GRID_N, SWEEP_MODES, format_value, run_sweep, write_csv
 
 # File-level normalization slack: looser than the in-memory tolerance, so
@@ -84,7 +84,7 @@ def load_ensemble_file(path: str) -> Ensemble:
             data = json.load(handle)
     except OSError as exc:
         raise ValidationError(f"cannot read ensemble file: {exc}")
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # a JSONDecodeError or UnicodeDecodeError, or an int beyond the int-to-str digit limit
         raise ValidationError(f"ensemble file is not valid JSON: {exc}")
     except RecursionError:
         raise ValidationError("ensemble file nests too deeply to read") from None
@@ -93,8 +93,6 @@ def load_ensemble_file(path: str) -> Ensemble:
     if ("family" in data) == ("states" in data):
         raise ValidationError("ensemble file must contain exactly one of 'family' or 'states'")
     probs = data.get("probs")
-    if isinstance(probs, list):
-        probs = _json_floats(probs, "'probs'")
 
     if "family" in data:
         entry = data["family"]
@@ -102,8 +100,7 @@ def load_ensemble_file(path: str) -> Ensemble:
             raise ValidationError("'family' must be an object with keys 'a2' and 'c2'")
         if not isinstance(probs, (list, type(None))):
             raise ValidationError("'probs' must be a list of numbers or null")
-        a2, c2 = _json_floats([entry["a2"], entry["c2"]], "'family' values")
-        return _family_ensemble(BellFamily.from_squared(a2, c2), probs)
+        return _family_ensemble(BellFamily.from_squared(entry["a2"], entry["c2"]), probs)
 
     raw_states = data["states"]
     if "probs" not in data:
@@ -115,36 +112,28 @@ def load_ensemble_file(path: str) -> Ensemble:
         try:
             dims = entry["dim_a"], entry["dim_b"]
             parts = [pair if isinstance(pair, list) else [pair, 0] for pair in entry["amplitudes"]]
-            k = next((k for k, part in enumerate(parts) if len(part) != 2), None)
-            if k is not None:
-                raise ValidationError(f"state {idx} amplitude {k} is not a number or an [re, im] pair")
-            amps = np.array([complex(*_json_floats(part, f"state {idx} amplitudes")) for part in parts])
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"state {idx} is malformed: {exc}")
-        with np.errstate(over="ignore"):  # an overflowing norm is refused just below
-            norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= FILE_NORM_TOL:
+        k = next((k for k, part in enumerate(parts) if len(part) != 2 or list in map(type, part)), None)
+        if k is not None:
+            raise ValidationError(f"state {idx} amplitude {k} is not a number or an [re, im] pair")
+        try:
+            # A float view reads each judged [re, im] row as one complex with every bit, signed zeros included.
+            amps = np.ascontiguousarray(_amplitudes(parts).real).view(complex).ravel()
+            with np.errstate(over="ignore"):  # an overflowing norm is refused just below
+                norm = float(np.linalg.norm(amps))
+            state = PureState(amps / norm, *dims) if abs(norm - 1.0) <= FILE_NORM_TOL else None
+        except ValidationError as exc:
+            raise ValidationError(f"state {idx}: {exc}") from None
+        if state is None:
             raise ValidationError(f"state {idx} has norm {norm!r}, beyond the {FILE_NORM_TOL:.0e} load tolerance")
         if abs(norm - 1.0) > DEFAULT_TOL:
             renormalized.append(f"state {idx} renormalized on load (norm was {norm!r})")
-        try:
-            states.append(PureState(amps / norm, *dims))
-        except ValidationError as exc:
-            raise ValidationError(f"state {idx}: {exc}") from None
+        states.append(state)
     ensemble = Ensemble(tuple(zip(probs, states)))
     for message in renormalized:
         warnings.warn(message, stacklevel=2)
     return ensemble
-
-
-def _json_floats(values: list, what: str) -> list[float]:
-    """``values`` as floats if each is a JSON number (a boolean is not one); anything else exits 2."""
-    if not all(map(_is_real, values)):
-        raise ValidationError(f"{what} must be JSON numbers")
-    try:
-        return [float(v) for v in values]
-    except OverflowError:
-        raise ValidationError(f"{what} must be JSON numbers within float range") from None
 
 
 def _emit(result: dict, as_json: bool) -> None:

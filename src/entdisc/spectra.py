@@ -43,8 +43,9 @@ def _is_index(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    """A real number, not a bool: an int, float, numpy integer or floating scalar; a float, the per-point case, first."""
-    return type(value) is float or isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    """A real number: no bool, a value numpy holds as kind i, u or f (an int in int64 or uint64 range); floats first."""
+    return type(value) is float or isinstance(value, (float, np.integer, np.floating)) or (
+        isinstance(value, int) and not isinstance(value, bool) and -(2**63) <= value < 2**64)
 
 
 def check_tol(tol) -> float:
@@ -54,9 +55,15 @@ def check_tol(tol) -> float:
     return float(tol)  # a float16 or float32 tolerance would round every sum it is added to
 
 
+# The kind numpy gives each of these exact types, known without an array; numpy is asked of every other, ints too.
+_KIND_OF_TYPE = {float: "f", complex: "c", bool: "b", str: "U", bytes: "S"}
+
+
 def _kinds(arr: np.ndarray) -> set[str]:
     """The dtype kind of an array, or of each entry of an object array: the one test of what values an input holds."""
-    return {arr.dtype.kind} if arr.dtype != object else {np.asarray(v).dtype.kind for v in arr.flat}
+    if arr.dtype != object:
+        return {arr.dtype.kind}
+    return {_KIND_OF_TYPE.get(type(v)) or np.asarray(v).dtype.kind for v in arr.flat}
 
 
 def _add_in_order(values, arr=None):
@@ -78,7 +85,8 @@ def check_probabilities(values) -> list[float]:
 
     Entries must be finite numbers within DEFAULT_TOL of [0, 1], and must sum to 1 within DEFAULT_TOL; negatives
     inside the tolerance are clamped to zero, with np.clip's zero sign. A bool, str or bytes entry or array is refused
-    as a non-number, though numpy would read it; complex, timedelta64 and datetime64 values before numpy casts them.
+    as a non-number, though numpy would read it; complex, timedelta64, datetime64 and object values (None, a Fraction,
+    an int beyond 64 bits) before numpy casts them: the one rule of ``_is_real`` and ``_kinds``.
     The one size rule is the total's (``_add_in_order``), pinned with every byte and message by TestArrayRouteOracle.
     """
     reason = None
@@ -88,6 +96,8 @@ def check_probabilities(values) -> list[float]:
             kinds = _kinds(arr)
             if not kinds.isdisjoint("cmM"):  # left unconverted: the cast would drop an imaginary part or a time unit
                 reason = "probabilities must be real numbers, not complex or time values"
+            elif "O" in kinds:  # so too None, a Fraction or Decimal, and an int beyond 64 bits, which may overflow
+                reason = "probabilities must be numbers, not None, other objects or integers beyond 64 bits"
             else:
                 reason = None if kinds.isdisjoint("US") else "probabilities must be numbers, not strings or bytes"
                 arr = np.asarray(values, dtype=float)

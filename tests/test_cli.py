@@ -385,6 +385,17 @@ class TestEnsembleFile:
     def test_discriminate_family_file_matches_flags(self, capsys, tmp_path):
         assert_family_file_matches_flags(capsys, tmp_path, "discriminate")
 
+    def test_amplitudes_load_bit_for_bit(self, tmp_path):
+        # integer parts, bare numbers and signed zeros each load as complex(re, im), every bit kept, and are then
+        # divided by the norm, exactly 1.0 here, as the loader divides every state
+        amps = [[0, -0.0], -0.0, [-0.0, 0.6], [-0.8, -0.0], 0, [0, 0], [-0.0, -0.0], 1e-300]
+        path = tmp_path / "ens.json"
+        path.write_text(json.dumps({"states": [{"amplitudes": amps, "dim_a": 2, "dim_b": 4}], "probs": [1]}))
+        got = load_ensemble_file(str(path)).states[0].amplitudes
+        want = np.array([complex(*(a if isinstance(a, list) else [a, 0])) for a in amps])
+        assert np.linalg.norm(want) == 1.0
+        assert got.tobytes() == (want / 1.0).tobytes()
+
     def test_discriminate_from_states_file(self, capsys, tmp_path):
         # four product states are locally distinguishable
         states = []
@@ -686,6 +697,19 @@ class TestInputContract:
             # a family file's string or object 'probs' was read as a sequence of priors
             (["discriminate"], STRING_PROBS_FAMILY),
             (["bounds"], OBJECT_PROBS_FAMILY),
+            # null was read as no number by the loader and as NaN by the library, and 10**20 as a number by the
+            # loader and as an object by numpy; the library's checks now judge every file number
+            (["discriminate"], '{"family": {"a2": 0.8, "c2": 0.7}, "probs": [null, 0.5, 0.25, 0.25]}'),
+            (["bounds"], AMPLITUDES_STATE % "[[null, 0], [0, 0], [0, 0], [1, 0]]"),
+            (["discriminate"], AMPLITUDES_STATE % "[[100000000000000000000, 0], [0, 0], [0, 0], [0, 0]]"),
+            # an integer beyond the 4300-digit int-to-str limit failed json.load with a plain ValueError and exit 1
+            pytest.param(["discriminate"], '{"family": {"a2": 1%s, "c2": 0.9}}' % ("0" * 5000), id="a2-5001-digits"),
+            pytest.param(["bounds"], '{"family": {"a2": 0.9, "c2": 0.9}, "probs": [1%s, 0, 0, 0]}' % ("0" * 5000),
+                         id="prior-5001-digits"),
+            # a pair of lists is no [re, im] pair, though numpy reads a file of them as one deeper array of numbers
+            (["discriminate"], AMPLITUDES_STATE % "[[[1], [0]], [[0], [0]], [[0], [0]], [[0], [0]]]"),
+            (["discriminate"], '{"states": [{"amplitudes": [[[1, 0], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]], '
+                               '[[0, 0], [0, 0]]], "dim_a": 2, "dim_b": 4}], "probs": [1]}'),
         ],
     )
     def test_malformed_values_exit_2(self, capsys, tmp_path, argv, file_text):

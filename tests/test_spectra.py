@@ -21,7 +21,7 @@ from entdisc import (
     tensor,
     three_state_feasible,
 )
-from entdisc.spectra import check_probabilities
+from entdisc.spectra import _is_real, _kinds, check_probabilities
 from helpers import majorized_image, random_prob_vector
 
 
@@ -121,6 +121,25 @@ class TestProbVector:
             with pytest.raises(ValidationError, match="^probabilities must be numbers, not strings or bytes$"):
                 call()
 
+    @pytest.mark.parametrize("bad", [None, Fraction(1, 2), Decimal("0.5"), 10**20, 10**400],
+                             ids=["None", "Fraction", "Decimal", "10**20", "10**400"])
+    @pytest.mark.parametrize("container", [list, lambda values: np.array(values, dtype=object)],
+                             ids=["list", "object-array"])
+    def test_rejects_objects_and_integers_beyond_64_bits(self, bad, container):
+        # numpy holds each of these as an object: None was called non-finite, a Fraction or Decimal 1/2 built
+        # [0.5, 0.5], 10**20 exceeded 1, and 10**400 escaped as a raw OverflowError
+        priors = [bad, 0.5]
+        states = bell_states()[:2]
+        builds = [ProbVector, check_probabilities]
+        if container is list:
+            builds += [lambda p: Ensemble(tuple(zip(p, states))), lambda p: mix([(w, ProbVector([1.0])) for w in p])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in builds:
+                with pytest.raises(ValidationError, match="^probabilities must be numbers, not None, other objects or "
+                                                          "integers beyond 64 bits$"):
+                    build(container(priors))
+
     def test_text_that_numpy_cannot_parse_keeps_its_reason(self):
         with pytest.raises(ValidationError, match="^probabilities must be numbers: could not convert string"):
             check_probabilities(["abc", 0.5])
@@ -152,6 +171,23 @@ class TestProbVector:
     def test_dim_and_len(self):
         v = ProbVector([0.2, 0.3, 0.5])
         assert v.dim == 3 and len(v) == 3
+
+
+# One sample of each type numpy reads differently, the ints at and beyond the edges of int64 and uint64.
+KIND_SAMPLES = [True, np.True_, 1, 10**20, 10**400, 1.5, np.float32(1.5), 1j, np.complex64(1j), "0.5", b"0.5", None,
+                np.datetime64(1, "s"), -(2**63), -(2**63) - 1, 2**64 - 1, 2**64, np.float16(0.5), np.uint64(5)]
+
+
+def test_one_number_rule_matches_numpy():
+    # _kinds looks up the common types without asking numpy; it must give numpy's own kind for every type, and
+    # _is_real must accept exactly the non-bool values numpy holds as kind i, u or f
+    for value in KIND_SAMPLES:
+        arr = np.empty(1, dtype=object)
+        arr[0] = value
+        kind = np.asarray(value).dtype.kind
+        assert _kinds(arr) == {kind}, value
+        assert _is_real(value) == (kind in "iuf"), value
+    assert _kinds(np.array(KIND_SAMPLES, dtype=object)) == {np.asarray(v).dtype.kind for v in KIND_SAMPLES}
 
 
 def array_route(values):
@@ -439,7 +475,8 @@ class TestEntropy:
         assert binary_entropy(1.0 + 5e-10) == 0.0
 
     @pytest.mark.parametrize("bad", ["0.5", None, Decimal("0.5"), True, False, np.True_, np.False_, np.complex128(0.9),
-                                     np.complex128(0.9 + 0.4j), Fraction(9, 10), np.array(0.9)])
+                                     np.complex128(0.9 + 0.4j), Fraction(9, 10), np.array(0.9),
+                                     pytest.param(10**20, id="10**20"), pytest.param(10**400, id="10**400")])
     def test_binary_entropy_rejects_non_numbers(self, bad):
         # a bool passed as 1 or 0 and came back as 0.0; a numpy complex gave the entropy of a complex p, over 1 bit
         # for 0.3+0.9j, behind only a ComplexWarning
