@@ -118,18 +118,20 @@ def load_ensemble_file(path: str) -> Ensemble:
         if k is not None:
             raise ValidationError(f"state {idx} amplitude {k} is not a number or an [re, im] pair")
         try:
-            # A float view reads each judged [re, im] row as one complex with every bit, signed zeros included.
+            # A float view reads each judged [re, im] row as one complex with the file's bits (the norm divides them below).
             amps = np.ascontiguousarray(_amplitudes(parts).real).view(complex).ravel()
-            with np.errstate(over="ignore"):  # an overflowing norm is refused just below
-                norm = float(np.linalg.norm(amps))
-            state = PureState(amps / norm, *dims) if abs(norm - 1.0) <= FILE_NORM_TOL else None
         except ValidationError as exc:
             raise ValidationError(f"state {idx}: {exc}") from None
-        if state is None:
+        with np.errstate(over="ignore"):  # an overflowing norm is refused just below
+            norm = float(np.linalg.norm(amps))
+        if not abs(norm - 1.0) <= FILE_NORM_TOL:
             raise ValidationError(f"state {idx} has norm {norm!r}, beyond the {FILE_NORM_TOL:.0e} load tolerance")
         if abs(norm - 1.0) > DEFAULT_TOL:
             renormalized.append(f"state {idx} renormalized on load (norm was {norm!r})")
-        states.append(state)
+        try:
+            states.append(PureState(amps / norm, *dims))
+        except ValidationError as exc:
+            raise ValidationError(f"state {idx}: {exc}") from None
     ensemble = Ensemble(tuple(zip(probs, states)))
     for message in renormalized:
         warnings.warn(message, stacklevel=2)

@@ -43,27 +43,25 @@ def _is_index(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    """A real number: no bool, a value numpy holds as kind i, u or f (an int in int64 or uint64 range); floats first."""
-    return type(value) is float or isinstance(value, (float, np.integer, np.floating)) or (
-        isinstance(value, int) and not isinstance(value, bool) and -(2**63) <= value < 2**64)
+    """A real number: no bool, a value numpy holds as kind i, u or f (an index in int64 or uint64 range); floats first."""
+    return type(value) is float or isinstance(value, (float, np.floating)) or _is_index(value) and -(2**63) <= value < 2**64
+
+
+def _shown(value) -> str:
+    """A value as a refusal names it: a real number by its repr, anything else by its type, so the line stays short."""
+    return repr(value) if _is_real(value) else f"<{type(value).__name__}>"
 
 
 def check_tol(tol) -> float:
     """A comparison tolerance: a finite number >= 0 that is not a bool, the one rule for every verdict and --tol."""
     if not (_is_real(tol) and 0.0 <= tol < math.inf):
-        raise ValidationError(f"tolerance must be a finite number >= 0, got {tol!r}")
+        raise ValidationError(f"tolerance must be a finite number >= 0, got {_shown(tol)}")
     return float(tol)  # a float16 or float32 tolerance would round every sum it is added to
-
-
-# The kind numpy gives each of these exact types, known without an array; numpy is asked of every other, ints too.
-_KIND_OF_TYPE = {float: "f", complex: "c", bool: "b", str: "U", bytes: "S"}
 
 
 def _kinds(arr: np.ndarray) -> set[str]:
     """The dtype kind of an array, or of each entry of an object array: the one test of what values an input holds."""
-    if arr.dtype != object:
-        return {arr.dtype.kind}
-    return {_KIND_OF_TYPE.get(type(v)) or np.asarray(v).dtype.kind for v in arr.flat}
+    return {arr.dtype.kind} if arr.dtype != object else {np.asarray(v).dtype.kind for v in arr.flat}
 
 
 def _add_in_order(values, arr=None):
@@ -241,7 +239,7 @@ def entropy_bits(x: ProbVector) -> float:
 def binary_entropy(p: float) -> float:
     """Entropy in bits of the two-outcome distribution (p, 1-p)."""
     if not _is_real(p):
-        raise ValidationError(f"binary entropy argument {p!r} is not a number")
+        raise ValidationError(f"binary entropy argument {_shown(p)} is not a number")
     if not -DEFAULT_TOL <= p <= 1.0 + DEFAULT_TOL:
         raise ValidationError(f"binary entropy argument {p!r} outside [0, 1]")
     return float(_binary_entropy_terms(min(max(float(p), 0.0), 1.0)))

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spectra import DEFAULT_TOL, ProbVector, _add_in_order, _entropy_rows, _is_index, _is_real, _kinds, check_probabilities
+from .spectra import (DEFAULT_TOL, ProbVector, _add_in_order, _entropy_rows, _is_index, _is_real, _kinds, _shown,
+                      check_probabilities)
 
 __all__ = [
     "BellFamily",
@@ -208,7 +209,7 @@ class BellFamily:
     def __post_init__(self):
         a2, c2 = self.a2, self.c2
         if not (_is_real(a2) and _is_real(c2)):
-            raise ValidationError(f"a2={a2!r} and c2={c2!r} must be numbers")
+            raise ValidationError(f"a2={_shown(a2)} and c2={_shown(c2)} must be numbers")
         for name, value in (("a2", a2), ("c2", c2)):
             if not 0.5 <= value <= 1.0:
                 raise ValidationError(f"{name}={value!r} outside [0.5, 1]")

@@ -723,6 +723,13 @@ class TestInputContract:
             argv = argv + ["--ensemble", str(path)]
         assert self.assert_rejected(capsys, *argv).startswith(STATE_ERRORS.get(file_text, "error: "))
 
+    def test_a_long_number_is_named_by_its_type(self, capsys, tmp_path):
+        # the refusal printed the value's repr, here 4001 digits on the error line
+        path = tmp_path / "ens.json"
+        path.write_text('{"family": {"a2": 1%s, "c2": 0.9}}' % ("0" * 4000))
+        line = self.assert_rejected(capsys, "discriminate", "--ensemble", str(path))
+        assert line == "error: a2=<int> and c2=0.9 must be numbers"
+
     def test_renormalization_warned_only_after_the_file_validates(self, capsys, tmp_path):
         # a renormalized state 0 used to print its two-line warning before
         # state 1's error

@@ -351,7 +351,7 @@ def test_verdicts_refuse_a_bad_tolerance(name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for tol in (math.nan, math.inf, -1e-3, "0.1", True, np.complex128(0.9), np.complex128(0.9 + 0.4j),
-                    Fraction(9, 10), np.array(0.9), 10**20, 10**400):
+                    Fraction(9, 10), np.array(0.9), 10**20, 10**400, 10**5000):
             with pytest.raises(ValidationError, match="tolerance must be a finite number >= 0"):
                 verdict(tol)
 

@@ -278,7 +278,8 @@ class TestBellFamily:
                                         (np.complex128(0.9), 0.8), (0.9, np.complex128(0.9 + 0.4j)),
                                         (Fraction(9, 10), Fraction(4, 5)), (np.array(0.9), 0.8),
                                         pytest.param(10**20, 0.7, id="10**20-0.7"),
-                                        pytest.param(0.7, 10**400, id="0.7-10**400")])
+                                        pytest.param(0.7, 10**400, id="0.7-10**400"),
+                                        pytest.param(10**5000, 0.7, id="10**5000-0.7")])
     def test_rejects_non_numbers(self, a2, c2):
         # a string or None failed the range comparison, and a Decimal 1 - a2, with a TypeError; a bool passed the
         # range check as 1 (or failed it as 0 with the range message); a numpy complex was built from its real part
