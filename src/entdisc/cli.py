@@ -28,8 +28,8 @@ from .discrimination import (
     three_state_feasible,
 )
 from .errors import ValidationError
-from .spectra import DEFAULT_TOL, ProbVector, check_tol, entropy_bits
-from .states import BellFamily, Ensemble, PureState, _amplitudes, check_family_priors, distinguishability_bound
+from .spectra import DEFAULT_TOL, ProbVector, _numbers, check_tol, entropy_bits
+from .states import BellFamily, Ensemble, PureState, check_family_priors, distinguishability_bound
 from .sweep import DEFAULT_GRID_N, MAX_GRID_N, SWEEP_MODES, format_value, run_sweep, write_csv
 
 # File-level normalization slack: looser than the in-memory tolerance, so
@@ -119,7 +119,7 @@ def load_ensemble_file(path: str) -> Ensemble:
             raise ValidationError(f"state {idx} amplitude {k} is not a number or an [re, im] pair")
         try:
             # A float view reads each judged [re, im] row as one complex with the file's bits (the norm divides them below).
-            amps = np.ascontiguousarray(_amplitudes(parts).real).view(complex).ravel()
+            amps = _numbers(parts, "state amplitudes").view(complex).ravel()
         except ValidationError as exc:
             raise ValidationError(f"state {idx}: {exc}") from None
         with np.errstate(over="ignore"):  # an overflowing norm is refused just below

@@ -25,6 +25,7 @@ from .spectra import (
     DEFAULT_TOL,
     ProbVector,
     _is_index,
+    _shown,
     binary_entropy,
     check_tol,
     entropy_bits,
@@ -58,6 +59,8 @@ __all__ = [
 ]
 
 ZERO_NORM_TOL = 1e-12
+
+MAX_PROBE_DIM = 64
 
 
 def pointer_state(ensemble: Ensemble, pointers: Sequence[PureState]) -> PureState:
@@ -325,10 +328,11 @@ def partial_inner_product(
                 "residual split is ambiguous for asymmetric joints; pass dims_out"
             )
         dims_out = (bra.dim_a, bra.dim_b)
+    if not (isinstance(dims_out, (tuple, list)) and len(dims_out) == 2 and all(map(_is_index, dims_out))):
+        raise ValidationError(f"dims_out must be a pair of integers, got {_shown(dims_out)}")
     if dims_out[0] * dims_out[1] != joint.dim_b:
-        raise ValidationError(
-            f"dims_out {dims_out!r} does not factor the residual dimension {joint.dim_b}"
-        )
+        shown = ", ".join(map(_shown, dims_out))
+        raise ValidationError(f"dims_out ({shown}) does not factor the residual dimension {joint.dim_b}")
     residual = np.conj(bra.amplitudes) @ joint.coefficient_matrix()
     norm = float(np.linalg.norm(residual))
     if norm <= ZERO_NORM_TOL:
@@ -342,10 +346,13 @@ def conjugation_probe(dim_a: int = 2, dim_b: int = 2) -> PureState:
     Built as a product of one maximally entangled pair per local factor and
     regrouped onto the (AB):(mirror pair) cut. For any bra psi on the AB cut,
     contracting against this probe yields psi's complex conjugate with norm
-    1/sqrt(dim_a * dim_b).
+    1/sqrt(dim_a * dim_b). The probe holds (dim_a * dim_b)^2 amplitudes, so
+    dim_a * dim_b is at most MAX_PROBE_DIM = 64, a 4096-amplitude probe.
     """
     if not (_is_index(dim_a) and _is_index(dim_b) and dim_a >= 1 and dim_b >= 1):
-        raise ValidationError(f"local dimensions must be positive integers, got {dim_a!r} and {dim_b!r}")
+        raise ValidationError(f"local dimensions must be positive integers, got {_shown(dim_a)} and {_shown(dim_b)}")
+    if dim_a * dim_b > MAX_PROBE_DIM:
+        raise ValidationError(f"dim_a * dim_b must be at most {MAX_PROBE_DIM}, got {_shown(dim_a * dim_b)}")
     u = np.eye(dim_a) / np.sqrt(dim_a)
     v = np.eye(dim_b) / np.sqrt(dim_b)
     coeffs = np.einsum("ij,kl->ikjl", u, v).reshape(dim_a * dim_b, dim_a * dim_b)

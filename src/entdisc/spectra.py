@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, zip_longest
+from itertools import filterfalse, islice, zip_longest
 from typing import Iterable
 
 import numpy as np
@@ -32,14 +32,10 @@ __all__ = [
 # O(1), so double precision leaves ample headroom.
 DEFAULT_TOL = 1e-9
 
-# Booleans are numbers to Python and numpy; where the package means a real value it refuses both types.
-_BOOL_TYPES = frozenset((bool, np.bool_))
-_FLOAT = np.dtype(float)
-
 
 def _is_index(value) -> bool:
-    """An integer that is not a bool: the one rule for dimensions, sizes and member indices."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    """An integer, not a bool or a timedelta64 (numpy's integer time): the one rule for dimensions, sizes and indices."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.timedelta64))
 
 
 def _is_real(value) -> bool:
@@ -59,9 +55,33 @@ def check_tol(tol) -> float:
     return float(tol)  # a float16 or float32 tolerance would round every sum it is added to
 
 
-def _kinds(arr: np.ndarray) -> set[str]:
-    """The dtype kind of an array, or of each entry of an object array: the one test of what values an input holds."""
-    return {arr.dtype.kind} if arr.dtype != object else {np.asarray(v).dtype.kind for v in arr.flat}
+def _is_amplitude(value) -> bool:
+    """A real number by ``_is_real``, or a complex one; a Python complex tested first."""
+    return type(value) is complex or _is_real(value) or isinstance(value, (complex, np.complexfloating))
+
+
+def _numbers(values, what: str, dtype: type = float) -> np.ndarray:
+    """``values`` as an ndarray of ``dtype``, float or complex: the one number rule for list entries, as for scalars.
+
+    A non-object ndarray is judged by its dtype kind (i, u or f, and c for complex). Any other input is judged entry
+    by entry, each by ``_is_real`` (or ``_is_amplitude`` for complex), so a bool, a text, a time value or a 0-d array
+    is refused in a list as it is alone; a flat list that passes skips the object array. A refusal names the first
+    bad entry by its type.
+    """
+    judge = _is_real if dtype is float else _is_amplitude
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        bad = None if values.dtype.kind in ("iuf" if dtype is float else "iufc") else values.dtype.type
+    elif type(values) is list and all(map(judge, values)):
+        bad = None
+    else:
+        try:
+            values = np.asarray(values, dtype=object)
+            bad = next(map(type, filterfalse(judge, values.flat)), None)
+        except (TypeError, ValueError):  # nested arrays of clashing shapes, which numpy cannot hold even as objects
+            bad = type(values)
+    if bad is not None:
+        raise ValidationError(f"{what} must be numbers, got <{bad.__name__}>")
+    return np.asarray(values, dtype)  # np.asarray, not astype: a masked array's subclass must not leak
 
 
 def _add_in_order(values, arr=None):
@@ -81,40 +101,19 @@ def _add_in_order(values, arr=None):
 def check_probabilities(values) -> list[float]:
     """Validate probabilities given in any order, by one route at every size; returns them as a list of Python floats.
 
-    Entries must be finite numbers within DEFAULT_TOL of [0, 1], and must sum to 1 within DEFAULT_TOL; negatives
-    inside the tolerance are clamped to zero, with np.clip's zero sign. A bool, str or bytes entry or array is refused
-    as a non-number, though numpy would read it; complex, timedelta64, datetime64 and object values (None, a Fraction,
-    an int beyond 64 bits) before numpy casts them: the one rule of ``_is_real`` and ``_kinds``.
+    Entries must be real numbers (``_numbers``), finite and within DEFAULT_TOL of [0, 1], and must sum to 1 within
+    DEFAULT_TOL; negatives inside the tolerance are clamped to zero, with np.clip's zero sign.
     The one size rule is the total's (``_add_in_order``), pinned with every byte and message by TestArrayRouteOracle.
     """
-    reason = None
-    try:
-        arr = np.asarray(values)  # floats infer float64; only another dtype is judged by kind and converted again
-        if arr.dtype != _FLOAT:
-            kinds = _kinds(arr)
-            if not kinds.isdisjoint("cmM"):  # left unconverted: the cast would drop an imaginary part or a time unit
-                reason = "probabilities must be real numbers, not complex or time values"
-            elif "O" in kinds:  # so too None, a Fraction or Decimal, and an int beyond 64 bits, which may overflow
-                reason = "probabilities must be numbers, not None, other objects or integers beyond 64 bits"
-            else:
-                reason = None if kinds.isdisjoint("US") else "probabilities must be numbers, not strings or bytes"
-                arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"probabilities must be numbers: {exc}") from None
+    arr = _numbers(values, "probabilities")
     if arr.ndim != 1:
         raise ValidationError("probabilities must be a flat list of numbers")
     if arr.size == 0:
         raise ValidationError("need at least one probability")
-    if reason:
-        raise ValidationError(reason)
     entries = arr.tolist()
     if not all(map(math.isfinite, entries)):
         raise ValidationError("probabilities must be finite")
     low, high = min(entries), max(entries)
-    if low <= 0.0 or high >= 1.0:  # else no entry is a bool, which converts to 0.0 or 1.0
-        kinds = (values.dtype.type,) if isinstance(values, np.ndarray) and values.dtype != object else map(type, values)
-        if not _BOOL_TYPES.isdisjoint(kinds):
-            raise ValidationError("probabilities must be numbers, not booleans")
     if low < 0.0:
         if low < -DEFAULT_TOL:
             raise ValidationError(f"probability {low:.3e} is negative beyond tolerance {DEFAULT_TOL:.0e}")

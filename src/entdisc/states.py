@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spectra import (DEFAULT_TOL, ProbVector, _add_in_order, _entropy_rows, _is_index, _is_real, _kinds, _shown,
+from .spectra import (DEFAULT_TOL, ProbVector, _add_in_order, _entropy_rows, _is_index, _is_real, _numbers, _shown,
                       check_probabilities)
 
 __all__ = [
@@ -32,23 +32,11 @@ __all__ = [
 ]
 
 
-def _amplitudes(values) -> np.ndarray:
-    """Amplitudes as a complex array: an ndarray judged by its dtype, anything else entry by entry (a bool among ints)."""
-    try:
-        arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
-        # A numeric ndarray, the per-point case, passes on its dtype kind without the helper's call.
-        if arr.dtype.kind in "iufc" or _kinds(arr) <= set("iufc"):
-            return arr.astype(complex, copy=False)
-    except (TypeError, ValueError):
-        pass
-    raise ValidationError("state amplitudes must be numbers")
-
-
 @dataclass(frozen=True, eq=False)
 class PureState:
     """A normalized pure state on a bipartite cut with declared local dimensions.
 
-    The constructor refuses amplitudes that are not numbers (bools, strings, times, objects), checks dimensions,
+    The constructor refuses amplitudes that are not numbers (``_numbers``), checks dimensions,
     finiteness and norm, and keeps a read-only complex copy; ``_derived`` wraps states the package builds normalized,
     unchecked. Instances are immutable.
     """
@@ -58,13 +46,12 @@ class PureState:
     dim_b: int
 
     def __post_init__(self):
-        amps = _amplitudes(self.amplitudes).flatten()
+        amps = _numbers(self.amplitudes, "state amplitudes", complex).flatten()
         if not (_is_index(self.dim_a) and self.dim_a >= 1 and _is_index(self.dim_b) and self.dim_b >= 1):
-            raise ValidationError(f"local dimensions must be positive integers, got {self.dim_a!r} and {self.dim_b!r}")
+            shown = f"{_shown(self.dim_a)} and {_shown(self.dim_b)}"
+            raise ValidationError(f"local dimensions must be positive integers, got {shown}")
         if amps.size != self.dim_a * self.dim_b:
-            raise ValidationError(
-                f"got {amps.size} amplitudes for dimensions {self.dim_a}x{self.dim_b}"
-            )
+            raise ValidationError(f"got {amps.size} amplitudes for dimensions {_shown(self.dim_a)}x{_shown(self.dim_b)}")
         norm2 = float(np.vdot(amps, amps).real)
         # A NaN or infinite amplitude makes norm^2 non-finite; so do finite ones whose squares overflow.
         if not math.isfinite(norm2) and not np.isfinite(amps).all():
@@ -86,7 +73,7 @@ class PureState:
     @classmethod
     def from_matrix(cls, coeffs: np.ndarray) -> "PureState":
         """Build a state from its dim_a x dim_b coefficient matrix."""
-        coeffs = _amplitudes(coeffs)
+        coeffs = _numbers(coeffs, "state amplitudes", complex)
         if coeffs.ndim != 2:
             raise ValidationError("coefficient matrix must be two-dimensional")
         return cls(coeffs.ravel(), coeffs.shape[0], coeffs.shape[1])
@@ -178,7 +165,7 @@ def check_family_priors(probs, count: int) -> list[float]:
     try:
         given = len(probs)
     except TypeError:
-        raise ValidationError(f"expected a list of {count} probabilities, got {probs!r}") from None
+        raise ValidationError(f"expected a list of {count} probabilities, got {_shown(probs)}") from None
     if given != count:
         raise ValidationError(f"expected {count} probabilities, got {given}")
     return check_probabilities(probs)
@@ -189,9 +176,9 @@ def check_which(which) -> tuple[int, ...]:
     try:
         which = tuple(which)
     except TypeError:
-        raise ValidationError(f"which={which!r} must be three distinct indices in 0..3") from None
+        raise ValidationError(f"which={_shown(which)} must be three distinct indices in 0..3") from None
     if len(which) != 3 or not all(_is_index(i) and 0 <= i < 4 for i in which) or len(set(which)) != 3:
-        raise ValidationError(f"which={which!r} must be three distinct indices in 0..3")
+        raise ValidationError(f"which=({', '.join(map(_shown, which))}) must be three distinct indices in 0..3")
     return tuple(map(int, which))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .discrimination import alpha2_max_from_lambda, family_lambda_max, pointer_feasible, preserve_cap
 from .errors import ValidationError
-from .spectra import _BOOL_TYPES, _add_in_order, _binary_entropy_terms, _is_index, binary_entropy, entropy_terms
+from .spectra import _add_in_order, _binary_entropy_terms, _is_index, _shown, binary_entropy, entropy_terms
 from .states import BellFamily, check_family_priors, check_which
 
 __all__ = [
@@ -124,10 +124,11 @@ def run_sweep(
         ``which`` (priors default to 1/3 each). ``which`` is checked in every
         mode, but only this one uses it.
     """
-    if mode not in SWEEP_MODES:
-        raise ValidationError(f"unknown sweep mode {mode!r}; expected one of {SWEEP_MODES}")
+    if not (isinstance(mode, str) and mode in SWEEP_MODES):
+        shown = repr(mode) if isinstance(mode, str) else _shown(mode)
+        raise ValidationError(f"unknown sweep mode {shown}; expected one of {SWEEP_MODES}")
     if not (_is_index(grid_n) and 2 <= grid_n <= MAX_GRID_N):
-        raise ValidationError(f"grid_n must be between 2 and {MAX_GRID_N}, got {grid_n!r}")
+        raise ValidationError(f"grid_n must be between 2 and {MAX_GRID_N}, got {_shown(grid_n)}")
     probs = check_family_priors(probs, 3 if mode == "feasible3" else 4)
     which = check_which(which)
     order = which if mode == "feasible3" else (0, 1, 2, 3)
@@ -166,7 +167,7 @@ def format_value(value) -> str:
     """The text of one output value: None is empty, bools (numpy's too) are true/false, numbers %.12g."""
     if value is None:
         return ""
-    if type(value) in _BOOL_TYPES:
+    if type(value) in (bool, np.bool_):
         return "true" if value else "false"
     return format(value, ".12g")
 

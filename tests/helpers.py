@@ -8,13 +8,17 @@ eigenvalues from an index-loop build and a dense eigensolve (the package uses
 a closed form for the family and a batched build from the Bell matrices
 otherwise). ``RecordingWriter`` stands in for a text file, or wraps one, to
 show how output reaches it; ``NullWriter`` discards it;
-``fail_on_second_block`` stops a sweep part way through; and ``child_env``
-runs the package in a child process.
+``fail_on_second_block`` stops a sweep part way through; ``child_env``
+runs the package in a child process; and ``ODD_SCALARS`` and ``ODD_VALUES``
+are the odd inputs every public parameter is driven with.
 """
 
+import datetime
 import itertools
 import math
 import os
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 
@@ -162,3 +166,23 @@ def child_env() -> dict:
     """The environment for a child Python process that imports this checkout's ``entdisc``."""
     src = os.path.dirname(entdisc.__path__[0])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+# One sample of each scalar type numpy reads differently (the ints at and beyond the edges of int64 and uint64), and
+# the other odd scalars a caller may pass: None, bools, huge ints, NaN and infinities, complex, text, bytes,
+# Fraction, Decimal and time values.
+ODD_SCALARS = [None, True, False, np.True_, 0, 1, -1, 10**20, 10**400, 10**5000, 2**70, -(2**63), -(2**63) - 1,
+               2**64 - 1, 2**64, np.uint64(5), 1.5, -0.0, math.nan, math.inf, -math.inf, np.float16(0.5),
+               np.float32(1.5), 1j, np.complex64(1j), "0.5", "", b"0.5", Fraction(1, 2), Decimal("0.5"),
+               np.datetime64(1, "s"), np.timedelta64(2), np.timedelta64(0), datetime.timedelta(seconds=1)]
+
+# The scalars and the odd containers: 0-d and 2-d arrays, object, masked, text, time and bool arrays, sets, dicts,
+# iterators, ranges, empty, nested and ragged lists, and arrays of clashing shapes that numpy cannot stack. A draw
+# is a deep copy, so an iterator is fresh each time.
+ODD_VALUES = ODD_SCALARS + [
+    np.array(0.5), np.array(1j), np.zeros((2, 2)), np.eye(4), np.array([0.5, 0.5]), np.array([0.5, "0.5"], object),
+    np.array([0.5, 0.5], object), np.ma.masked_array([0.5, 0.5], mask=[False, True]), np.array(["assist", "preserve"]),
+    np.zeros(4, "m8"), np.zeros(2, "M8[s]"), np.array([True, False]), {0.5}, {0, 1, 2}, {0: 0.5, 1: 0.5}, {},
+    iter([0.25] * 4), iter(range(3)), range(3), [], (), [0.5, 0.5], [[0.5], [0.5]], [[1, 0], [0]], "abcd",
+    [np.zeros((2, 2)), np.zeros((2, 3))],
+]

@@ -568,7 +568,8 @@ class TestThreeState:
 
     def test_rejects_bad_subsets(self):
         family = BellFamily.from_squared(0.9, 0.9)
-        for which in [(0, 1), (0, 1, 1), (0, 1, 4), (0, 1, 2, 3), (0.9, 1, 2), (True, 2, 3), (0, 1, 2.0)]:
+        for which in [(0, 1), (0, 1, 1), (0, 1, 4), (0, 1, 2, 3), (0.9, 1, 2), (True, 2, 3), (0, 1, 2.0),
+                      (np.timedelta64(0), 1, 2)]:
             with pytest.raises(ValidationError):
                 three_state_feasible(family, which=which)
 
@@ -776,10 +777,24 @@ class TestPreserve:
 
 
 class TestPartialInnerProduct:
-    @pytest.mark.parametrize("dims", [(True, 2), (2.5, 2), (0, 2), (2, -1), (2, "3")])
+    @pytest.mark.parametrize("dims", [(True, 2), (2.5, 2), (0, 2), (2, -1), (2, "3"), (np.timedelta64(2), 2)])
     def test_probe_rejects_bad_dimensions(self, dims):
         with pytest.raises(ValidationError, match="^local dimensions must be positive integers, got "):
             conjugation_probe(*dims)
+
+    @pytest.mark.parametrize("dims, shown", [((65, 1), "65"), ((2**70, 1), "<int>"), ((10**4, 10**4), "100000000")])
+    def test_probe_dimensions_are_capped(self, dims, shown):
+        # the probe holds (dim_a * dim_b)^2 amplitudes: 2**70 raised a raw ValueError, 10**4 x 10**4 a MemoryError
+        with pytest.raises(ValidationError, match=rf"^dim_a \* dim_b must be at most 64, got {shown}$"):
+            conjugation_probe(*dims)
+        assert conjugation_probe(8, 8).coefficient_matrix().shape == (64, 64)
+
+    @pytest.mark.parametrize("dims_out, shown", [(("a", "b"), "<tuple>"), (5, "5"), ((2,), "<tuple>"),
+                                                 ((2.0, 2), "<tuple>"), ((np.timedelta64(2), 2), "<tuple>")])
+    def test_dims_out_must_be_a_pair_of_integers(self, dims_out, shown):
+        # ("a", "b") and 5 raised a raw TypeError, (2,) an IndexError
+        with pytest.raises(ValidationError, match=f"^dims_out must be a pair of integers, got {shown}$"):
+            partial_inner_product(bell_states()[0], conjugation_probe(2, 2), dims_out=dims_out)
 
     def test_probe_returns_conjugate_at_half_norm(self):
         probe = conjugation_probe()

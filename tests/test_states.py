@@ -68,11 +68,14 @@ class TestPureState:
     )
     def test_rejects_non_number_amplitudes(self, amps, dims, matrix):
         # strings and bytes were parsed, and bools and times counted, into |00>; "abc", ragged lists and objects
-        # escaped as raw ValueError or TypeError, and None was called non-finite
+        # escaped as raw ValueError or TypeError, and None was called non-finite. Each case's first entry (an
+        # array's scalar type, or the text itself) is the one the refusal names.
+        first = amps.dtype.type if isinstance(amps, np.ndarray) else type(amps[0] if isinstance(amps, list) else amps)
+        reason = f"^state amplitudes must be numbers, got <{first.__name__}>$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for build in (lambda: PureState(amps, *dims), lambda: PureState.from_matrix(matrix)):
-                with pytest.raises(ValidationError, match="^state amplitudes must be numbers$"):
+                with pytest.raises(ValidationError, match=reason):
                     build()
 
     def test_accepts_numbers(self):
@@ -90,7 +93,8 @@ class TestPureState:
                 assert PureState(amps, 2, 2).amplitudes.tolist() == [0, 1, 0, 0]
             assert PureState.from_matrix([[0, 1j], [0, 0]]).amplitudes.tolist() == [0, 1j, 0, 0]
 
-    @pytest.mark.parametrize("dims", [(2.0, 2), (2, 2.9), (True, 4), ("2", 2), (0, 4), (np.float64(2.0), 2)])
+    @pytest.mark.parametrize("dims", [(2.0, 2), (2, 2.9), (True, 4), ("2", 2), (0, 4), (np.float64(2.0), 2),
+                                      (np.timedelta64(2), 2)])
     def test_rejects_non_integer_dimensions(self, dims):
         # floats and bools used to construct and then fail with a raw
         # TypeError in coefficient_matrix()

@@ -70,6 +70,13 @@ class TestRunSweep:
         with pytest.raises(ValidationError):
             run_sweep("nope", 5)
 
+    @pytest.mark.parametrize("mode, shown", [(np.array(["assist", "preserve"]), "<ndarray>"), (b"assist", "<bytes>"),
+                                             (10**5000, "<int>")], ids=["array", "bytes", "10**5000"])
+    def test_mode_must_be_a_string(self, mode, shown):
+        # an array of modes raised numpy's ambiguous-truth ValueError, and an int past 4300 digits its repr's
+        with pytest.raises(ValidationError, match=rf"^unknown sweep mode {shown}; expected one of \("):
+            run_sweep(mode, 5)
+
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValidationError):
             run_sweep("preserve", 1)
@@ -83,7 +90,7 @@ class TestRunSweep:
         with pytest.raises(ValidationError, match="probabilities sum to"):
             run_sweep("assist", MAX_GRID_N, probs=[0.9] * 4)
 
-    @pytest.mark.parametrize("grid_n", [5.0, "5", True, None, 5.5])
+    @pytest.mark.parametrize("grid_n", [5.0, "5", True, None, 5.5, np.timedelta64(5)])
     def test_rejects_non_integer_grid(self, grid_n):
         # a float or a string used to get past the range check and fail later
         # with a TypeError; numpy integers pass like ints
@@ -99,7 +106,7 @@ class TestRunSweep:
 
     def test_rejects_bad_subset(self):
         # non-integer indices used to be truncated, and True read as 1
-        for which in [(0, 1), (0.9, 1, 2), (True, 2, 3)]:
+        for which in [(0, 1), (0.9, 1, 2), (True, 2, 3), (np.timedelta64(0), 1, 2)]:
             with pytest.raises(ValidationError):
                 run_sweep("feasible3", 5, which=which)
         # the other modes ignore which but check it: (9, 9, 9) used to return a table
