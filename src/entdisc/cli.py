@@ -129,7 +129,8 @@ def load_ensemble_file(path: str) -> Ensemble:
         if abs(norm - 1.0) > DEFAULT_TOL:
             renormalized.append(f"state {idx} renormalized on load (norm was {norm!r})")
         try:
-            states.append(PureState(amps / norm, *dims))
+            # Dividing by a norm of exactly 1.0 would change only zero signs: a real part's -0.0 becomes +0.0.
+            states.append(PureState(amps if norm == 1.0 else amps / norm, *dims))
         except ValidationError as exc:
             raise ValidationError(f"state {idx}: {exc}") from None
     ensemble = Ensemble(tuple(zip(probs, states)))

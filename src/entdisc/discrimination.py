@@ -24,8 +24,6 @@ from .errors import ValidationError
 from .spectra import (
     DEFAULT_TOL,
     ProbVector,
-    _is_index,
-    _shown,
     binary_entropy,
     check_tol,
     entropy_bits,
@@ -59,8 +57,6 @@ __all__ = [
 ]
 
 ZERO_NORM_TOL = 1e-12
-
-MAX_PROBE_DIM = 64
 
 
 def pointer_state(ensemble: Ensemble, pointers: Sequence[PureState]) -> PureState:
@@ -303,57 +299,31 @@ class Residual(NamedTuple):
     state: PureState | None
 
 
-def partial_inner_product(
-    bra: PureState,
-    joint: PureState,
-    dims_out: tuple[int, int] | None = None,
-) -> Residual:
+def partial_inner_product(bra: PureState, joint: PureState) -> Residual:
     """Contract a joint state's first subsystem pair against ``bra``.
 
-    ``joint`` lives on the cut (AB):(residual pair); its first local
-    dimension must equal the bra's total dimension. The result is the
-    residual-pair state <bra|joint>, returned with its norm so the branch
-    probability norm^2 is recoverable. ``dims_out`` fixes the residual
-    pair's bipartite split; it defaults to the bra's own (dim_a, dim_b)
-    when the sizes allow it.
+    ``joint`` lives on the cut (AB):(residual pair), both sides of the bra's
+    total dimension. The result is the residual-pair state <bra|joint>, split
+    as the bra is, returned with its norm so the branch probability norm^2 is
+    recoverable.
     """
     dim_ab = bra.dim_a * bra.dim_b
-    if joint.dim_a != dim_ab:
-        raise ValidationError(
-            f"joint's first cut has dimension {joint.dim_a}, expected {dim_ab}"
-        )
-    if dims_out is None:
-        if joint.dim_b != dim_ab:
-            raise ValidationError(
-                "residual split is ambiguous for asymmetric joints; pass dims_out"
-            )
-        dims_out = (bra.dim_a, bra.dim_b)
-    if not (isinstance(dims_out, (tuple, list)) and len(dims_out) == 2 and all(map(_is_index, dims_out))):
-        raise ValidationError(f"dims_out must be a pair of integers, got {_shown(dims_out)}")
-    if dims_out[0] * dims_out[1] != joint.dim_b:
-        shown = ", ".join(map(_shown, dims_out))
-        raise ValidationError(f"dims_out ({shown}) does not factor the residual dimension {joint.dim_b}")
+    if (joint.dim_a, joint.dim_b) != (dim_ab, dim_ab):
+        raise ValidationError(f"joint has dimensions {joint.dim_a}x{joint.dim_b}, expected {dim_ab}x{dim_ab}")
     residual = np.conj(bra.amplitudes) @ joint.coefficient_matrix()
     norm = float(np.linalg.norm(residual))
     if norm <= ZERO_NORM_TOL:
         return Residual(norm=0.0, state=None)
-    return Residual(norm=norm, state=PureState(residual / norm, dims_out[0], dims_out[1]))
+    return Residual(norm=norm, state=PureState(residual / norm, bra.dim_a, bra.dim_b))
 
 
-def conjugation_probe(dim_a: int = 2, dim_b: int = 2) -> PureState:
-    """Joint state whose partial inner products return conjugated inputs.
+def conjugation_probe() -> PureState:
+    """The paper's two-qubit probe: a joint state whose partial inner products return conjugated inputs.
 
-    Built as a product of one maximally entangled pair per local factor and
-    regrouped onto the (AB):(mirror pair) cut. For any bra psi on the AB cut,
-    contracting against this probe yields psi's complex conjugate with norm
-    1/sqrt(dim_a * dim_b). The probe holds (dim_a * dim_b)^2 amplitudes, so
-    dim_a * dim_b is at most MAX_PROBE_DIM = 64, a 4096-amplitude probe.
+    Built as a product of one maximally entangled pair per qubit and
+    regrouped onto the (AB):(mirror pair) cut. For any two-qubit bra psi,
+    contracting against this probe yields psi's complex conjugate with norm 1/2.
     """
-    if not (_is_index(dim_a) and _is_index(dim_b) and dim_a >= 1 and dim_b >= 1):
-        raise ValidationError(f"local dimensions must be positive integers, got {_shown(dim_a)} and {_shown(dim_b)}")
-    if dim_a * dim_b > MAX_PROBE_DIM:
-        raise ValidationError(f"dim_a * dim_b must be at most {MAX_PROBE_DIM}, got {_shown(dim_a * dim_b)}")
-    u = np.eye(dim_a) / np.sqrt(dim_a)
-    v = np.eye(dim_b) / np.sqrt(dim_b)
-    coeffs = np.einsum("ij,kl->ikjl", u, v).reshape(dim_a * dim_b, dim_a * dim_b)
+    u = np.eye(2) / np.sqrt(2)
+    coeffs = np.einsum("ij,kl->ikjl", u, u).reshape(4, 4)
     return PureState.from_matrix(coeffs)

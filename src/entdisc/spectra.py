@@ -203,7 +203,10 @@ def mix(weighted: Iterable[tuple[float, ProbVector]]) -> ProbVector:
     component-wise with the given weights, so the average is descending too.
     Each entry's weighted terms add in member order on Python floats, at every size.
     """
-    pairs = list(weighted)
+    try:
+        pairs = [(p, v) for p, v in weighted]
+    except ValueError:
+        raise TypeError("weighted must be (weight, ProbVector) pairs") from None
     weights = check_probabilities([p for p, _ in pairs])
     out = [0.0] * max(v.dim for _, v in pairs)
     for w, (_, v) in zip(weights, pairs):

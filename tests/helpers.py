@@ -9,8 +9,9 @@ a closed form for the family and a batched build from the Bell matrices
 otherwise). ``RecordingWriter`` stands in for a text file, or wraps one, to
 show how output reaches it; ``NullWriter`` discards it;
 ``fail_on_second_block`` stops a sweep part way through; ``child_env``
-runs the package in a child process; and ``ODD_SCALARS`` and ``ODD_VALUES``
-are the odd inputs every public parameter is driven with.
+runs the package in a child process; ``public_callables`` lists the public
+callables by name; and ``ODD_SCALARS`` and ``ODD_VALUES`` are the odd inputs
+every public parameter is driven with.
 """
 
 import datetime
@@ -160,6 +161,20 @@ def fail_on_second_block(monkeypatch, exc_type) -> None:
         return _original(*args)
 
     monkeypatch.setattr(entdisc.sweep, "_scan_columns", scan)
+
+
+def public_callables() -> dict:
+    """Each public callable by name, a public classmethod as ``Class.method``; exception types are left out."""
+    found = {}
+    for name in entdisc.__all__:
+        obj = getattr(entdisc, name)
+        if not callable(obj) or isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        found[name] = obj
+        for attr, raw in vars(obj).items() if isinstance(obj, type) else ():
+            if isinstance(raw, classmethod) and not attr.startswith("_"):
+                found[f"{name}.{attr}"] = getattr(obj, attr)
+    return found
 
 
 def child_env() -> dict:

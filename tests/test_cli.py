@@ -386,15 +386,15 @@ class TestEnsembleFile:
         assert_family_file_matches_flags(capsys, tmp_path, "discriminate")
 
     def test_amplitudes_load_bit_for_bit(self, tmp_path):
-        # integer parts, bare numbers and signed zeros each load as complex(re, im), every bit kept, and are then
-        # divided by the norm, exactly 1.0 here, as the loader divides every state
+        # integer parts, bare numbers and signed zeros each load as complex(re, im), every bit kept: at a norm of
+        # exactly 1.0 the loader does not divide, which would turn a real part's -0.0 into +0.0
         amps = [[0, -0.0], -0.0, [-0.0, 0.6], [-0.8, -0.0], 0, [0, 0], [-0.0, -0.0], 1e-300]
         path = tmp_path / "ens.json"
         path.write_text(json.dumps({"states": [{"amplitudes": amps, "dim_a": 2, "dim_b": 4}], "probs": [1]}))
         got = load_ensemble_file(str(path)).states[0].amplitudes
         want = np.array([complex(*(a if isinstance(a, list) else [a, 0])) for a in amps])
         assert np.linalg.norm(want) == 1.0
-        assert got.tobytes() == (want / 1.0).tobytes()
+        assert got.tobytes() == want.tobytes()
 
     def test_discriminate_from_states_file(self, capsys, tmp_path):
         # four product states are locally distinguishable

@@ -2,12 +2,13 @@
 
 Every public callable (each name in ``entdisc.__all__`` and each public classmethod of a public class) is called at
 a valid baseline, and then with one parameter at a time replaced by an odd value from one shared pool
-(``helpers.ODD_VALUES``). The driven parameters are read from the signatures: every annotated parameter whose type
-names no package class. A parameter typed as a package object (``ProbVector``, ``PureState``, ``Ensemble``,
-``BellFamily``, ``SweepRecord`` or a sequence of them) keeps Python's own ``TypeError`` or ``AttributeError`` and is
-not driven; neither is ``write_csv``'s destination, a path or file. Each call returns or raises ``ValidationError``,
-and never warns. Where the baseline value is a list or tuple, its first number is replaced too, and an entry that
-the scalar rule refuses (``_is_real``, or a complex number, which amplitudes take) must be refused in the list.
+(``helpers.ODD_VALUES``). Every annotated parameter is driven, read from the signatures; ``write_csv``'s
+destination, a path or file, is not. A parameter whose type names no package class takes numbers: each call
+returns or raises ``ValidationError``, and never warns. Where its baseline value is a list or tuple, its first
+number is replaced too, and an entry that the scalar rule refuses (``_is_real``, or a complex number, which
+amplitudes take) must be refused in the list. A parameter typed as a package object (``ProbVector``, ``PureState``,
+``Ensemble``, ``BellFamily``, ``SweepRecord`` or a sequence of them) may also raise Python's own ``TypeError`` or
+``AttributeError``, and nothing else.
 """
 
 import copy
@@ -24,27 +25,15 @@ from hypothesis import strategies as st
 import entdisc
 from entdisc import DEFAULT_TOL, BellFamily, Ensemble, ProbVector, SweepRecord, ValidationError, bell_states
 from entdisc.spectra import _is_real
-from helpers import ODD_VALUES
+from helpers import ODD_VALUES, public_callables
 
-
-def _public() -> dict:
-    """Each public callable by name, a public classmethod as ``Class.method``; exception types take no numbers."""
-    found = {}
-    for name in entdisc.__all__:
-        obj = getattr(entdisc, name)
-        if not callable(obj) or isinstance(obj, type) and issubclass(obj, Exception):
-            continue
-        found[name] = obj
-        for attr, raw in vars(obj).items() if isinstance(obj, type) else ():
-            if isinstance(raw, classmethod) and not attr.startswith("_"):
-                found[f"{name}.{attr}"] = getattr(obj, attr)
-    return found
-
-
-PUBLIC = _public()
+PUBLIC = public_callables()
 PACKAGE_TYPES = re.compile(r"\b(%s)\b" % "|".join(n for n in entdisc.__all__ if isinstance(getattr(entdisc, n), type)))
-DRIVEN = [(name, param.name) for name, fn in PUBLIC.items() for param in inspect.signature(fn).parameters.values()
-          if param.annotation is not inspect.Parameter.empty and not PACKAGE_TYPES.search(str(param.annotation))]
+ANNOTATED = [(name, param.name, PACKAGE_TYPES.search(str(param.annotation)) is not None)
+             for name, fn in PUBLIC.items() for param in inspect.signature(fn).parameters.values()
+             if param.annotation is not inspect.Parameter.empty]
+DRIVEN = [(name, param) for name, param, typed in ANNOTATED if not typed]
+PACKAGE_TYPED = [(name, param) for name, param, typed in ANNOTATED if typed]
 
 FAMILY = BellFamily(0.9, 0.8)
 BELL = bell_states()
@@ -73,7 +62,7 @@ BASELINES = {
     "bell_states": dict(),
     "binary_entropy": dict(p=0.25),
     "closed_form_lhs": dict(family=FAMILY, probs=PRIORS),
-    "conjugation_probe": dict(dim_a=2, dim_b=3),
+    "conjugation_probe": dict(),
     "distinguishability_bound": dict(ensemble=PAIR),
     "ensemble_discrimination_feasible": dict(ensemble=PAIR, tol=DEFAULT_TOL),
     "entropy_bits": dict(x=HALF),
@@ -82,7 +71,7 @@ BASELINES = {
     "locc_ensemble_feasible": dict(source=HALF, targets=[(1.0, HALF)], tol=DEFAULT_TOL),
     "majorizes": dict(x=HALF, y=HALF, tol=DEFAULT_TOL),
     "mix": dict(weighted=[(0.5, HALF), (0.5, HALF)]),
-    "partial_inner_product": dict(bra=BELL[0], joint=entdisc.conjugation_probe(2, 2), dims_out=(2, 2)),
+    "partial_inner_product": dict(bra=BELL[0], joint=entdisc.conjugation_probe()),
     "perfect_discrimination_feasible": dict(family=FAMILY, probs=PRIORS, tol=DEFAULT_TOL),
     "pointer_state": dict(ensemble=PAIR, pointers=BELL[:2]),
     "preserve_cost": dict(family=FAMILY, probs=PRIORS),
@@ -134,3 +123,13 @@ def test_odd_values_return_or_raise_validation_error(name, param, value):
     if isinstance(baseline, (list, tuple)):
         accepted = _accepts(name, **{param: _with_first_entry(baseline, copy.deepcopy(value))})
         assert not accepted or _is_real(value) or isinstance(value, (complex, np.complexfloating))
+
+
+@pytest.mark.parametrize("name, param", PACKAGE_TYPED, ids=[f"{name}-{param}" for name, param in PACKAGE_TYPED])
+@settings(max_examples=len(ODD_VALUES), derandomize=True, database=None, deadline=None)
+@given(value=odd_values)
+def test_odd_objects_raise_only_python_type_errors(name, param, value):
+    try:
+        _accepts(name, **{param: value})
+    except (TypeError, AttributeError):
+        pass

@@ -777,25 +777,6 @@ class TestPreserve:
 
 
 class TestPartialInnerProduct:
-    @pytest.mark.parametrize("dims", [(True, 2), (2.5, 2), (0, 2), (2, -1), (2, "3"), (np.timedelta64(2), 2)])
-    def test_probe_rejects_bad_dimensions(self, dims):
-        with pytest.raises(ValidationError, match="^local dimensions must be positive integers, got "):
-            conjugation_probe(*dims)
-
-    @pytest.mark.parametrize("dims, shown", [((65, 1), "65"), ((2**70, 1), "<int>"), ((10**4, 10**4), "100000000")])
-    def test_probe_dimensions_are_capped(self, dims, shown):
-        # the probe holds (dim_a * dim_b)^2 amplitudes: 2**70 raised a raw ValueError, 10**4 x 10**4 a MemoryError
-        with pytest.raises(ValidationError, match=rf"^dim_a \* dim_b must be at most 64, got {shown}$"):
-            conjugation_probe(*dims)
-        assert conjugation_probe(8, 8).coefficient_matrix().shape == (64, 64)
-
-    @pytest.mark.parametrize("dims_out, shown", [(("a", "b"), "<tuple>"), (5, "5"), ((2,), "<tuple>"),
-                                                 ((2.0, 2), "<tuple>"), ((np.timedelta64(2), 2), "<tuple>")])
-    def test_dims_out_must_be_a_pair_of_integers(self, dims_out, shown):
-        # ("a", "b") and 5 raised a raw TypeError, (2,) an IndexError
-        with pytest.raises(ValidationError, match=f"^dims_out must be a pair of integers, got {shown}$"):
-            partial_inner_product(bell_states()[0], conjugation_probe(2, 2), dims_out=dims_out)
-
     def test_probe_returns_conjugate_at_half_norm(self):
         probe = conjugation_probe()
         family = BellFamily.from_squared(0.77, 0.61).states()
@@ -827,32 +808,14 @@ class TestPartialInnerProduct:
         assert result.norm == 0.0
         assert result.state is None
 
-    def test_general_dims_probe(self):
-        probe = conjugation_probe(2, 3)
-        state = random_pure_state(np.random.default_rng(22), 2, 3)
-        result = partial_inner_product(state, probe)
-        assert result.norm == pytest.approx(1.0 / np.sqrt(6.0), abs=1e-12)
-        assert np.allclose(result.state.amplitudes, np.conj(state.amplitudes))
-        assert (result.state.dim_a, result.state.dim_b) == (2, 3)
-
     def test_dimension_mismatch_rejected(self):
-        probe = conjugation_probe(2, 2)
         bra = random_pure_state(np.random.default_rng(23), 2, 3)
-        with pytest.raises(ValidationError):
-            partial_inner_product(bra, probe)
+        with pytest.raises(ValidationError, match="^joint has dimensions 4x4, expected 6x6$"):
+            partial_inner_product(bra, conjugation_probe())
 
     def test_asymmetric_joint_needs_dims_out(self):
+        # no residual split is taken but the bra's, so a 4x2 joint, which once needed dims_out, is refused
         bra = random_pure_state(np.random.default_rng(25), 2, 2)
         joint = random_pure_state(np.random.default_rng(26), 4, 2)
-        with pytest.raises(ValidationError, match="^residual split is ambiguous for asymmetric joints; pass dims_out$"):
+        with pytest.raises(ValidationError, match="^joint has dimensions 4x2, expected 4x4$"):
             partial_inner_product(bra, joint)
-        result = partial_inner_product(bra, joint, dims_out=(2, 1))
-        assert (result.state.dim_a, result.state.dim_b) == (2, 1)
-
-    def test_dims_out_must_factor_residual(self):
-        probe = conjugation_probe(2, 2)
-        bra = random_pure_state(np.random.default_rng(24), 2, 2)
-        with pytest.raises(ValidationError):
-            partial_inner_product(bra, probe, dims_out=(3, 2))
-        result = partial_inner_product(bra, probe, dims_out=(4, 1))
-        assert (result.state.dim_a, result.state.dim_b) == (4, 1)
